@@ -98,37 +98,39 @@ def _check_pair(pair, space: ModeSpace) -> None:
 def embed(element: CircuitElement, space: ModeSpace) -> np.ndarray:
     """Composite-basis matrix of a single element, identity elsewhere."""
     n_p = space.n_p
-    out = np.eye(space.dim, dtype=complex)
     if isinstance(element, InternalOp):
         _check_mode(element.mode, space)
-        matrix = np.asarray(element.matrix, dtype=complex)
-        if matrix.shape != (n_p, n_p):
+        first = element.mode
+        block = np.asarray(element.matrix, dtype=complex)
+        if block.shape != (n_p, n_p):
             raise DimensionError(
-                f"internal operation has shape {matrix.shape}, expected {(n_p, n_p)}"
+                f"internal operation has shape {block.shape}, expected {(n_p, n_p)}"
             )
-        start = (element.mode - 1) * n_p
-        out[start : start + n_p, start : start + n_p] = matrix
     elif isinstance(element, Beamsplitter):
         _check_pair(element.pair, space)
+        first = element.pair[0]
         b = BEAMSPLITTER_2.conj().T if element.conjugate else BEAMSPLITTER_2
-        start = (element.pair[0] - 1) * n_p
-        out[start : start + 2 * n_p, start : start + 2 * n_p] = np.kron(b, np.eye(n_p))
+        block = np.kron(b, np.eye(n_p))
     elif isinstance(element, PhaseBlock):
         _check_mode(element.mode, space)
+        first = element.mode
         phases = np.asarray(element.phases, dtype=float)
         if phases.shape != (n_p,):
             raise DimensionError(f"phase block has {phases.size} phases, expected {n_p}")
-        start = (element.mode - 1) * n_p
-        out[start : start + n_p, start : start + n_p] = np.diag(np.exp(1j * phases))
+        block = np.diag(np.exp(1j * phases))
     elif isinstance(element, CSBlock):
         _check_pair(element.pair, space)
+        first = element.pair[0]
         thetas = np.asarray(element.thetas, dtype=float)
         if thetas.shape != (n_p,):
             raise DimensionError(f"CS block has {thetas.size} angles, expected {n_p}")
-        start = (element.pair[0] - 1) * n_p
-        out[start : start + 2 * n_p, start : start + 2 * n_p] = cs_matrix(thetas, 2 * n_p)
+        block = cs_matrix(thetas, 2 * n_p)
     else:
         raise TypeError(f"unknown circuit element type: {type(element).__name__}")
+    out = np.eye(space.dim, dtype=complex)
+    start = (first - 1) * n_p
+    stop = start + block.shape[0]
+    out[start:stop, start:stop] = block
     return out
 
 

@@ -8,8 +8,10 @@ diagnostics go to stderr. Exit codes: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -35,6 +37,17 @@ EXIT_USAGE = 4
 
 class _UsageError(Exception):
     pass
+
+
+# The exit code of each error class that main reports, checked in order.
+_EXIT_CODES = {
+    _UsageError: EXIT_USAGE,
+    MatrixFormatError: EXIT_PARSE,
+    CircuitFormatError: EXIT_PARSE,
+    UnitarityError: EXIT_NOT_UNITARY,
+    DimensionError: EXIT_USAGE,
+    OSError: EXIT_PARSE,
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -97,22 +110,13 @@ def _tolerance_ok(tol: float) -> None:
 
 
 def _counts_line(circuit) -> str:
-    counts = {"beamsplitters": 0, "internal": 0, "phase_blocks": 0, "cs_blocks": 0}
-    for element in circuit.elements:
-        if isinstance(element, Beamsplitter):
-            counts["beamsplitters"] += 1
-        elif isinstance(element, InternalOp):
-            counts["internal"] += 1
-        elif isinstance(element, PhaseBlock):
-            counts["phase_blocks"] += 1
-        elif isinstance(element, CSBlock):
-            counts["cs_blocks"] += 1
-    if counts["cs_blocks"]:
-        return f"internal={counts['internal']} cs_blocks={counts['cs_blocks']}"
+    counts = Counter(type(e) for e in circuit.elements)
+    if counts[CSBlock]:
+        return f"internal={counts[InternalOp]} cs_blocks={counts[CSBlock]}"
     return (
-        f"beamsplitters={counts['beamsplitters']} "
-        f"internal={counts['internal']} "
-        f"phase_blocks={counts['phase_blocks']}"
+        f"beamsplitters={counts[Beamsplitter]} "
+        f"internal={counts[InternalOp]} "
+        f"phase_blocks={counts[PhaseBlock]}"
     )
 
 
@@ -120,10 +124,6 @@ def _cmd_decompose(args) -> int:
     _tolerance_ok(args.tol)
     u = load_matrix(args.input)
     space = ModeSpace(args.ns, args.np)
-    if u.shape != (space.dim, space.dim):
-        raise DimensionError(
-            f"matrix dimension {u.shape[0]} does not equal ns*np = {space.dim}"
-        )
     if args.stage1_only:
         circuit = decompose_stage1(u, space, tol=args.tol)
     else:
@@ -151,32 +151,18 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_cost(args) -> int:
-    report = cost_report(ModeSpace(args.ns, args.np))
-    fields = [
-        ("n_s", report.n_s),
-        ("n_p", report.n_p),
-        ("beamsplitters", report.beamsplitters),
-        ("internal_arbitrary", report.internal_arbitrary),
-        ("internal_phase_blocks", report.internal_phase_blocks),
-        ("internal_element_estimate", report.internal_element_estimate),
-        ("reck_beamsplitters", report.reck_beamsplitters),
-        ("reck_phase_shifters", report.reck_phase_shifters),
-        ("eta", report.eta),
-        ("xi", report.xi),
-    ]
+    fields = dataclasses.asdict(cost_report(ModeSpace(args.ns, args.np)))
     if args.json:
-        print(json.dumps(dict(fields), indent=2))
+        print(json.dumps(fields, indent=2))
     else:
-        width = max(len(name) for name, _ in fields)
-        for name, value in fields:
+        width = max(len(name) for name in fields)
+        for name, value in fields.items():
             text = "undefined" if value is None else f"{value:g}" if isinstance(value, float) else str(value)
             print(f"{name:<{width}}  {text}")
     return EXIT_OK
 
 
 def _cmd_random(args) -> int:
-    if args.dim < 1:
-        raise DimensionError(f"dimension must be at least 1, got {args.dim}")
     save_matrix(args.output, haar_random_unitary(args.dim, args.seed))
     return EXIT_OK
 
@@ -198,26 +184,12 @@ def _cmd_csd(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (MatrixFormatError, CircuitFormatError) as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except UnitarityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_UNITARY
-    except DimensionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 def entrypoint() -> None:

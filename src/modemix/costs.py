@@ -9,6 +9,7 @@ and n_p per diagonal phase block.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -74,14 +75,7 @@ def audit_circuit(circuit: Circuit) -> CostReport:
     Stage-1 circuits still contain CS mixers and cannot be audited; expand
     them first.
     """
-    beamsplitters = arbitrary = phase_blocks = 0
-    for element in circuit.elements:
-        if isinstance(element, CSBlock):
-            raise ValueError("circuit contains CS blocks; expand them (stage 2) before auditing")
-        if isinstance(element, Beamsplitter):
-            beamsplitters += 1
-        elif isinstance(element, InternalOp):
-            arbitrary += 1
-        elif isinstance(element, PhaseBlock):
-            phase_blocks += 1
-    return _report(circuit.space, beamsplitters, arbitrary, phase_blocks)
+    counts = Counter(type(e) for e in circuit.elements)
+    if counts[CSBlock]:
+        raise ValueError("circuit contains CS blocks; expand them (stage 2) before auditing")
+    return _report(circuit.space, counts[Beamsplitter], counts[InternalOp], counts[PhaseBlock])

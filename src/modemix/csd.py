@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, UnitarityError
-from .linalg import UNITARY_TOL, svd, unitarity_defect
+from .errors import DimensionError
+from .linalg import UNITARY_TOL, require_unitary, svd
 
 # Cosines closer than this are treated as one degenerate cluster and
 # repaired jointly.
@@ -130,19 +130,13 @@ def _pairing_order(values, m: int) -> np.ndarray:
     scrambled for nothing.
     """
     n = len(values)
-    cluster = np.zeros(n, dtype=int)
-    for i in range(1, n):
-        cluster[i] = cluster[i - 1] + (values[i - 1] - values[i] > DEGENERACY_TOL)
-    pools = {}
-    for index in range(n):
-        pools.setdefault(cluster[index], []).append(index)
+    groups = _clusters(values, DEGENERACY_TOL)
+    cluster = np.repeat(np.arange(len(groups)), [len(group) for group in groups])
     rotation = np.r_[np.arange(n - m, n), np.arange(n - m)]
+    # The clusters are consecutive runs, so handing each cluster's indices
+    # out in order to the positions it fills is a stable sort by cluster.
     perm = np.empty(n, dtype=int)
-    taken = {key: 0 for key in pools}
-    for out_pos, src in enumerate(rotation):
-        key = cluster[src]
-        perm[out_pos] = pools[key][taken[key]]
-        taken[key] += 1
+    perm[np.argsort(cluster[rotation], kind="stable")] = np.arange(n)
     return perm
 
 
@@ -216,22 +210,12 @@ def csd(u, m: int, tol: float = UNITARY_TOL) -> CSDResult:
     ``DimensionError`` for invalid block sizes.
     """
     u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {u.shape}")
-    dim = u.shape[0]
-    if not 1 <= m < dim:
-        raise DimensionError(f"block size m={m} must satisfy 1 <= m < {dim}")
-    n = dim - m
+    blocks = block_partition(u, m)
+    n = u.shape[0] - m
     if m > n:
         raise DimensionError(f"top block m={m} exceeds bottom block n={n}; only m <= n is supported")
-    defect = unitarity_defect(u)
-    if defect > tol:
-        raise UnitarityError(
-            f"input is not unitary: deviation {defect:.3e} exceeds tolerance {tol:.1e}",
-            deviation=defect,
-        )
+    require_unitary(u, tol, "input")
 
-    blocks = block_partition(u, m)
     a, _, _, d = blocks
     lt, cosines, rt = svd(a)
     lb, d_singulars, rb = svd(d)

@@ -17,8 +17,8 @@ import numpy as np
 
 from .circuits import Beamsplitter, Circuit, CSBlock, InternalOp, ModeSpace, PhaseBlock
 from .csd import csd
-from .errors import DimensionError, UnitarityError
-from .linalg import UNITARY_TOL, unitarity_defect
+from .errors import DimensionError
+from .linalg import UNITARY_TOL, require_unitary
 
 
 def decompose_stage1(u, space: ModeSpace, tol: float = UNITARY_TOL) -> Circuit:
@@ -38,12 +38,7 @@ def decompose_stage1(u, space: ModeSpace, tol: float = UNITARY_TOL) -> Circuit:
             f"matrix shape {u.shape} does not match mode space "
             f"{space.n_s}x{space.n_p} (dimension {space.dim})"
         )
-    defect = unitarity_defect(u)
-    if defect > tol:
-        raise UnitarityError(
-            f"input is not unitary: deviation {defect:.3e} exceeds tolerance {tol:.1e}",
-            deviation=defect,
-        )
+    require_unitary(u, tol, "input")
     n_s, n_p = space.n_s, space.n_p
     if n_s == 1:
         return Circuit(space, [InternalOp(1, u.copy())])

@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, MatrixFormatError
+from .errors import DimensionError, MatrixFormatError, UnitarityError
 
 # Default tolerance for unitarity checks. End-to-end reconstructions are
 # held to 1e-9 instead, which leaves room for error growth over the
@@ -65,6 +65,16 @@ def unitarity_defect(m) -> float:
 def is_unitary(m, tol: float = UNITARY_TOL) -> bool:
     """Whether max|M†M - 1| is at most ``tol``."""
     return unitarity_defect(m) <= tol
+
+
+def require_unitary(m, tol: float, what: str) -> None:
+    """Raise ``UnitarityError``, naming ``what``, if max|M†M - 1| exceeds ``tol``."""
+    defect = unitarity_defect(m)
+    if defect > tol:
+        raise UnitarityError(
+            f"{what} is not unitary: deviation {defect:.3e} exceeds tolerance {tol:.1e}",
+            deviation=defect,
+        )
 
 
 def svd(m) -> SVDResult:

@@ -22,8 +22,9 @@ import json
 import numpy as np
 
 from .circuits import Beamsplitter, Circuit, CSBlock, InternalOp, ModeSpace, PhaseBlock
-from .errors import CircuitFormatError, DimensionError, UnitarityError, UnsupportedVersionError
-from .linalg import UNITARY_TOL, unitarity_defect
+from .circuits import _check_mode, _check_pair
+from .errors import CircuitFormatError, UnsupportedVersionError
+from .linalg import UNITARY_TOL, require_unitary
 
 FORMAT_VERSION = "1"
 
@@ -73,30 +74,35 @@ def _require(condition: bool, message: str) -> None:
         raise CircuitFormatError(message)
 
 
-def _as_index(value, space: ModeSpace, what: str) -> int:
-    _require(isinstance(value, int) and not isinstance(value, bool), f"{what} must be an integer")
-    if not 1 <= value <= space.n_s:
-        raise DimensionError(f"{what} {value} out of range 1..{space.n_s}")
+# Exact type tests: JSON true and false parse as bool, a subclass of int,
+# and are neither indices nor numbers.
+_NUMBER_TYPES = (float, int)
+
+
+def _is_int(value) -> bool:
+    return type(value) is int
+
+
+def _as_index(value, space: ModeSpace) -> int:
+    _require(_is_int(value), "spatial_index must be an integer")
+    _check_mode(value, space)
     return value
 
 
 def _as_pair(value, space: ModeSpace) -> tuple[int, int]:
     _require(
-        isinstance(value, list) and len(value) == 2 and all(isinstance(v, int) for v in value),
+        isinstance(value, list) and len(value) == 2 and all(_is_int(v) for v in value),
         "spatial_pair must be a two-element integer array",
     )
-    k, l = value
-    if not (1 <= k < space.n_s and l == k + 1):
-        raise DimensionError(f"spatial_pair {value} invalid for {space.n_s} spatial modes")
-    return (k, l)
+    pair = (value[0], value[1])
+    _check_pair(pair, space)
+    return pair
 
 
 def _as_floats(value, n_p: int, what: str) -> np.ndarray:
     _require(isinstance(value, list) and len(value) == n_p, f"{what} must hold {n_p} numbers")
-    try:
-        out = np.asarray([float(v) for v in value], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise CircuitFormatError(f"{what} contains non-numeric values") from exc
+    _require(all(type(v) in _NUMBER_TYPES for v in value), f"{what} contains non-numeric values")
+    out = np.asarray(value, dtype=float)
     _require(bool(np.all(np.isfinite(out))), f"{what} contains non-finite values")
     return out
 
@@ -109,21 +115,17 @@ def _as_internal_matrix(value, n_p: int) -> np.ndarray:
         parsed = []
         for entry in row:
             _require(
-                isinstance(entry, list) and len(entry) == 2,
-                "matrix entries must be [re, im] pairs",
+                isinstance(entry, list)
+                and len(entry) == 2
+                and type(entry[0]) in _NUMBER_TYPES
+                and type(entry[1]) in _NUMBER_TYPES,
+                "matrix entries must be numeric [re, im] pairs",
             )
-            try:
-                parsed.append(complex(float(entry[0]), float(entry[1])))
-            except (TypeError, ValueError) as exc:
-                raise CircuitFormatError("matrix entries must be numeric [re, im] pairs") from exc
+            parsed.append(complex(entry[0], entry[1]))
         rows.append(parsed)
     matrix = np.asarray(rows, dtype=complex)
     _require(bool(np.all(np.isfinite(matrix))), "matrix contains non-finite entries")
-    defect = unitarity_defect(matrix)
-    if defect > UNITARY_TOL:
-        raise UnitarityError(
-            f"internal operation is not unitary: deviation {defect:.3e}", deviation=defect
-        )
+    require_unitary(matrix, UNITARY_TOL, "internal operation")
     return matrix
 
 
@@ -131,7 +133,7 @@ def _obj_to_element(obj, space: ModeSpace):
     _require(isinstance(obj, dict), "elements must be objects")
     kind = obj.get("kind")
     if kind == "internal":
-        mode = _as_index(obj.get("spatial_index"), space, "spatial_index")
+        mode = _as_index(obj.get("spatial_index"), space)
         return InternalOp(mode, _as_internal_matrix(obj.get("matrix"), space.n_p))
     if kind == "beamsplitter":
         pair = _as_pair(obj.get("spatial_pair"), space)
@@ -139,7 +141,7 @@ def _obj_to_element(obj, space: ModeSpace):
         _require(isinstance(conjugate, bool), "conjugate must be a boolean")
         return Beamsplitter(pair, conjugate)
     if kind == "phase_block":
-        mode = _as_index(obj.get("spatial_index"), space, "spatial_index")
+        mode = _as_index(obj.get("spatial_index"), space)
         return PhaseBlock(mode, _as_floats(obj.get("phases"), space.n_p, "phases"))
     if kind == "cs_block":
         pair = _as_pair(obj.get("spatial_pair"), space)
@@ -167,10 +169,7 @@ def deserialize(text: str) -> Circuit:
         )
     for key in ("n_s", "n_p"):
         value = doc.get(key)
-        _require(
-            isinstance(value, int) and not isinstance(value, bool) and value >= 1,
-            f"{key} must be a positive integer",
-        )
+        _require(_is_int(value) and value >= 1, f"{key} must be a positive integer")
     space = ModeSpace(doc["n_s"], doc["n_p"])
     elements_obj = doc.get("elements")
     _require(isinstance(elements_obj, list), "elements must be an array")

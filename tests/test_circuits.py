@@ -113,6 +113,10 @@ class TestEmbed:
         with pytest.raises(DimensionError):
             embed(InternalOp(1, np.eye(3)), space)
 
+    def test_rejects_unknown_element(self):
+        with pytest.raises(TypeError):
+            embed("mirror", ModeSpace(2, 1))
+
     def test_rejects_wrong_phase_count(self):
         space = ModeSpace(2, 2)
         with pytest.raises(DimensionError):

@@ -125,6 +125,18 @@ class TestVerify:
         out.write_text(json.dumps(doc))
         assert run(["verify", out, inp]) == 1
 
+    def test_non_numeric_phase_exits_2(self, tmp_path, haar_file):
+        inp = haar_file(6, 2)
+        out = tmp_path / "c.json"
+        assert run(["decompose", inp, out, "--ns", 3, "--np", 2]) == 0
+        doc = json.loads(out.read_text())
+        for element in doc["elements"]:
+            if element["kind"] == "phase_block":
+                element["phases"][0] = str(element["phases"][0])
+                break
+        out.write_text(json.dumps(doc))
+        assert run(["verify", out, inp]) == 2
+
     def test_schema_violation_exits_2(self, tmp_path, haar_file):
         inp = haar_file(4, 1)
         bad = tmp_path / "bad.json"
@@ -144,6 +156,36 @@ class TestCost:
         assert run(["cost", "--ns", 3, "--np", 2]) == 0
         out = capsys.readouterr().out
         assert "eta" in out and "2.5" in out
+
+    def test_output_is_pinned(self, capsys):
+        assert run(["cost", "--ns", 3, "--np", 2]) == 0
+        assert capsys.readouterr().out == (
+            "n_s                        3\n"
+            "n_p                        2\n"
+            "beamsplitters              6\n"
+            "internal_arbitrary         9\n"
+            "internal_phase_blocks      6\n"
+            "internal_element_estimate  48\n"
+            "reck_beamsplitters         15\n"
+            "reck_phase_shifters        21\n"
+            "eta                        2.5\n"
+            "xi                         2.28571\n"
+        )
+        assert run(["cost", "--ns", 3, "--np", 2, "--json"]) == 0
+        assert capsys.readouterr().out == (
+            "{\n"
+            '  "n_s": 3,\n'
+            '  "n_p": 2,\n'
+            '  "beamsplitters": 6,\n'
+            '  "internal_arbitrary": 9,\n'
+            '  "internal_phase_blocks": 6,\n'
+            '  "internal_element_estimate": 48,\n'
+            '  "reck_beamsplitters": 15,\n'
+            '  "reck_phase_shifters": 21,\n'
+            '  "eta": 2.5,\n'
+            '  "xi": 2.2857142857142856\n'
+            "}\n"
+        )
 
     def test_json(self, capsys):
         assert run(["cost", "--ns", 3, "--np", 2, "--json"]) == 0

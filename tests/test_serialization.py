@@ -66,6 +66,10 @@ class TestSerialize:
             "phases": [0.25, -0.5],
         }
 
+    def test_rejects_unknown_element(self):
+        with pytest.raises(TypeError):
+            serialize(Circuit(ModeSpace(2, 1), ["mirror"]))
+
 
 class TestRoundTrip:
     def test_decompose_output_is_bit_identical(self):
@@ -119,10 +123,11 @@ class TestDeserializeValidation:
             deserialize(json.dumps(doc))
 
     def test_rejects_bad_mode_counts(self):
-        doc = self.valid_doc()
-        doc["n_s"] = 0
-        with pytest.raises(CircuitFormatError):
-            deserialize(json.dumps(doc))
+        for value in (0, True):
+            doc = self.valid_doc()
+            doc["n_s"] = value
+            with pytest.raises(CircuitFormatError):
+                deserialize(json.dumps(doc))
 
     def test_rejects_unknown_kind(self):
         doc = self.valid_doc()
@@ -179,5 +184,26 @@ class TestDeserializeValidation:
     def test_rejects_nonfinite_phases(self):
         doc = self.valid_doc()
         doc["elements"] = [{"kind": "phase_block", "spatial_index": 1, "phases": [float("nan")]}]
+        with pytest.raises(CircuitFormatError):
+            deserialize(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "element",
+        [
+            {"kind": "beamsplitter", "spatial_pair": [True, 2], "conjugate": False},
+            {"kind": "cs_block", "spatial_pair": [1, True], "thetas": [0.5]},
+            {"kind": "phase_block", "spatial_index": True, "phases": [0.5]},
+            {"kind": "phase_block", "spatial_index": 1, "phases": ["0.5"]},
+            {"kind": "phase_block", "spatial_index": 1, "phases": [True]},
+            {"kind": "cs_block", "spatial_pair": [1, 2], "thetas": ["0.5"]},
+            {"kind": "cs_block", "spatial_pair": [1, 2], "thetas": [False]},
+            {"kind": "internal", "spatial_index": 1, "matrix": [[["1", 0]]]},
+            {"kind": "internal", "spatial_index": 1, "matrix": [[[True, 0]]]},
+            {"kind": "internal", "spatial_index": 1, "matrix": [[[1, "0"]]]},
+        ],
+    )
+    def test_rejects_strings_and_booleans_as_numbers(self, element):
+        doc = self.valid_doc()
+        doc["elements"] = [element]
         with pytest.raises(CircuitFormatError):
             deserialize(json.dumps(doc))
