@@ -21,7 +21,7 @@ from .circuits import (
     reconstruct,
 )
 from .costs import CostReport, audit_circuit, cost_report
-from .csd import DEGENERACY_TOL, CSDResult, block_partition, cs_matrix, csd
+from .csd import CSDResult, block_partition, cs_matrix, csd
 from .decompose import decompose, decompose_stage1, expand_cs_block
 from .errors import (
     CircuitFormatError,
@@ -56,7 +56,6 @@ __all__ = [
     "CostReport",
     "CSBlock",
     "CSDResult",
-    "DEGENERACY_TOL",
     "DimensionError",
     "FORMAT_VERSION",
     "InternalOp",

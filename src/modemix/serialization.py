@@ -99,20 +99,26 @@ def _as_pair(value, space: ModeSpace) -> tuple[int, int]:
     return pair
 
 
-def _as_floats(value, n_p: int, what: str) -> np.ndarray:
-    _require(isinstance(value, list) and len(value) == n_p, f"{what} must hold {n_p} numbers")
-    _require(all(type(v) in _NUMBER_TYPES for v in value), f"{what} contains non-numeric values")
-    out = np.asarray(value, dtype=float)
+def _finite_floats(value, what: str) -> np.ndarray:
+    """Float array of JSON numbers; an integer too large for a float is not finite either."""
+    try:
+        out = np.asarray(value, dtype=float)
+    except OverflowError:
+        raise CircuitFormatError(f"{what} contains non-finite values") from None
     _require(bool(np.all(np.isfinite(out))), f"{what} contains non-finite values")
     return out
 
 
+def _as_floats(value, n_p: int, what: str) -> np.ndarray:
+    _require(isinstance(value, list) and len(value) == n_p, f"{what} must hold {n_p} numbers")
+    _require(all(type(v) in _NUMBER_TYPES for v in value), f"{what} contains non-numeric values")
+    return _finite_floats(value, what)
+
+
 def _as_internal_matrix(value, n_p: int) -> np.ndarray:
     _require(isinstance(value, list) and len(value) == n_p, f"matrix must have {n_p} rows")
-    rows = []
     for row in value:
         _require(isinstance(row, list) and len(row) == n_p, f"matrix rows must have {n_p} entries")
-        parsed = []
         for entry in row:
             _require(
                 isinstance(entry, list)
@@ -121,10 +127,9 @@ def _as_internal_matrix(value, n_p: int) -> np.ndarray:
                 and type(entry[1]) in _NUMBER_TYPES,
                 "matrix entries must be numeric [re, im] pairs",
             )
-            parsed.append(complex(entry[0], entry[1]))
-        rows.append(parsed)
-    matrix = np.asarray(rows, dtype=complex)
-    _require(bool(np.all(np.isfinite(matrix))), "matrix contains non-finite entries")
+    # Each [re, im] pair is the memory layout of one complex128, so the view
+    # keeps every bit, the sign of a zero included.
+    matrix = _finite_floats(value, "matrix").view(complex)[..., 0]
     require_unitary(matrix, UNITARY_TOL, "internal operation")
     return matrix
 

@@ -137,6 +137,18 @@ class TestVerify:
         out.write_text(json.dumps(doc))
         assert run(["verify", out, inp]) == 2
 
+    def test_phase_too_large_for_a_float_exits_2(self, tmp_path, haar_file):
+        inp = haar_file(6, 2)
+        out = tmp_path / "c.json"
+        assert run(["decompose", inp, out, "--ns", 3, "--np", 2]) == 0
+        doc = json.loads(out.read_text())
+        for element in doc["elements"]:
+            if element["kind"] == "phase_block":
+                element["phases"][0] = 10**400
+                break
+        out.write_text(json.dumps(doc))
+        assert run(["verify", out, inp]) == 2
+
     def test_schema_violation_exits_2(self, tmp_path, haar_file):
         inp = haar_file(4, 1)
         bad = tmp_path / "bad.json"

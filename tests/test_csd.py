@@ -200,6 +200,7 @@ class TestCsd:
             [1e-5, 2e-5, 0.5],
             [0.5, 0.5 + 1e-7, 1.0],
             [np.pi / 2 - 1e-7, 0.4, 0.5],
+            [np.pi / 2 - 1e-9, np.pi / 2 - 2e-9, 0.3],
         ],
     )
     def test_degenerate_angle_clusters(self, thetas):

@@ -176,10 +176,14 @@ class TestDecompose:
 
     def test_permutation_input(self):
         rng = np.random.default_rng(8)
-        space = ModeSpace(4, 3)
-        p = np.eye(12)[rng.permutation(12)].astype(complex)
-        circuit = decompose(p, space)
-        assert max_abs(reconstruct(circuit), p) <= 1e-9
+        # Many repeated angles at 8x4: a CSD that pairs SVDs of its diagonal
+        # blocks by clustering their singular values compiled this one 1.4e-8 off.
+        found = [0, 10, 18, 30, 17, 16, 8, 24, 4, 3, 27, 6, 15, 2, 28, 1,
+                 21, 26, 13, 19, 7, 29, 12, 23, 9, 31, 11, 22, 25, 20, 5, 14]
+        for space, perm in ((ModeSpace(4, 3), rng.permutation(12)), (ModeSpace(8, 4), found)):
+            p = np.eye(space.dim)[perm].astype(complex)
+            circuit = decompose(p, space)
+            assert max_abs(reconstruct(circuit), p) <= 1e-9
 
     def test_real_orthogonal_input(self):
         rng = np.random.default_rng(9)

@@ -200,6 +200,8 @@ class TestDeserializeValidation:
             {"kind": "internal", "spatial_index": 1, "matrix": [[["1", 0]]]},
             {"kind": "internal", "spatial_index": 1, "matrix": [[[True, 0]]]},
             {"kind": "internal", "spatial_index": 1, "matrix": [[[1, "0"]]]},
+            {"kind": "phase_block", "spatial_index": 1, "phases": [10**400]},
+            {"kind": "internal", "spatial_index": 1, "matrix": [[[10**400, 0]]]},
         ],
     )
     def test_rejects_strings_and_booleans_as_numbers(self, element):
