@@ -37,7 +37,6 @@ from .linalg import (
     haar_random_unitary,
     is_unitary,
     load_matrix,
-    multiply,
     parse_matrix,
     save_matrix,
     svd,
@@ -80,7 +79,6 @@ __all__ = [
     "haar_random_unitary",
     "is_unitary",
     "load_matrix",
-    "multiply",
     "parse_matrix",
     "reconstruct",
     "save_matrix",

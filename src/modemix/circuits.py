@@ -95,52 +95,48 @@ def _check_pair(pair, space: ModeSpace) -> None:
         raise DimensionError(f"spatial pair {pair} out of range for {space.n_s} spatial modes")
 
 
-def embed(element: CircuitElement, space: ModeSpace) -> np.ndarray:
-    """Composite-basis matrix of a single element, identity elsewhere."""
+def _placement(element: CircuitElement, space: ModeSpace) -> tuple[slice, np.ndarray]:
+    """Composite-basis rows an element acts on, and its block on those rows."""
     n_p = space.n_p
     if isinstance(element, InternalOp):
         _check_mode(element.mode, space)
-        first = element.mode
-        block = np.asarray(element.matrix, dtype=complex)
-        if block.shape != (n_p, n_p):
-            raise DimensionError(
-                f"internal operation has shape {block.shape}, expected {(n_p, n_p)}"
-            )
-    elif isinstance(element, Beamsplitter):
-        _check_pair(element.pair, space)
-        first = element.pair[0]
-        b = BEAMSPLITTER_2.conj().T if element.conjugate else BEAMSPLITTER_2
-        block = np.kron(b, np.eye(n_p))
+        first, width, block = element.mode, n_p, np.asarray(element.matrix, dtype=complex)
     elif isinstance(element, PhaseBlock):
         _check_mode(element.mode, space)
-        first = element.mode
         phases = np.asarray(element.phases, dtype=float)
-        if phases.shape != (n_p,):
-            raise DimensionError(f"phase block has {phases.size} phases, expected {n_p}")
-        block = np.diag(np.exp(1j * phases))
+        first, width, block = element.mode, n_p, np.diag(np.exp(1j * phases))
+    elif isinstance(element, Beamsplitter):
+        _check_pair(element.pair, space)
+        b = BEAMSPLITTER_2.conj().T if element.conjugate else BEAMSPLITTER_2
+        first, width, block = element.pair[0], 2 * n_p, np.kron(b, np.eye(n_p))
     elif isinstance(element, CSBlock):
         _check_pair(element.pair, space)
-        first = element.pair[0]
         thetas = np.asarray(element.thetas, dtype=float)
-        if thetas.shape != (n_p,):
-            raise DimensionError(f"CS block has {thetas.size} angles, expected {n_p}")
-        block = cs_matrix(thetas, 2 * n_p)
+        first, width, block = element.pair[0], 2 * n_p, cs_matrix(thetas, 2 * thetas.size)
     else:
         raise TypeError(f"unknown circuit element type: {type(element).__name__}")
-    out = np.eye(space.dim, dtype=complex)
+    if block.shape != (width, width):
+        raise DimensionError(
+            f"{type(element).__name__} needs a {width}x{width} block, got shape {block.shape}"
+        )
     start = (first - 1) * n_p
-    stop = start + block.shape[0]
-    out[start:stop, start:stop] = block
-    return out
+    return slice(start, start + width), block
 
 
 def reconstruct(circuit: Circuit) -> np.ndarray:
-    """Total matrix of a circuit: the product of its embedded elements.
+    """Total matrix of a circuit: the product of its elements.
 
     Elements are applied in storage order, so each one multiplies from the
-    left. An empty circuit reconstructs to the identity.
+    left, and each touches only the rows of the modes it acts on. An empty
+    circuit reconstructs to the identity.
     """
     out = np.eye(circuit.space.dim, dtype=complex)
     for element in circuit.elements:
-        out = embed(element, circuit.space) @ out
+        rows, block = _placement(element, circuit.space)
+        out[rows] = block @ out[rows]
     return out
+
+
+def embed(element: CircuitElement, space: ModeSpace) -> np.ndarray:
+    """Composite-basis matrix of a single element, identity elsewhere."""
+    return reconstruct(Circuit(space, [element]))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from collections import Counter
 
@@ -47,6 +48,7 @@ _EXIT_CODES = {
     UnitarityError: EXIT_NOT_UNITARY,
     DimensionError: EXIT_USAGE,
     OSError: EXIT_PARSE,
+    UnicodeDecodeError: EXIT_PARSE,
 }
 
 
@@ -105,8 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _tolerance_ok(tol: float) -> None:
-    if tol <= 0:
-        raise DimensionError(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise DimensionError(f"tolerance must be finite and positive, got {tol}")
 
 
 def _counts_line(circuit) -> str:
@@ -163,6 +165,8 @@ def _cmd_cost(args) -> int:
 
 
 def _cmd_random(args) -> int:
+    if args.seed < 0:
+        raise _UsageError(f"seed must be non-negative, got {args.seed}")
     save_matrix(args.output, haar_random_unitary(args.dim, args.seed))
     return EXIT_OK
 

@@ -32,7 +32,8 @@ def decompose_stage1(u, space: ModeSpace, tol: float = UNITARY_TOL) -> Circuit:
     modes j+1..n_s only, commutes past everything emitted later in the
     iteration, and becomes the next iteration's input.
     """
-    u = np.asarray(u, dtype=complex)
+    # A copy, because at n_s = 1 the input itself is the one internal op.
+    u = np.array(u, dtype=complex)
     if u.shape != (space.dim, space.dim):
         raise DimensionError(
             f"matrix shape {u.shape} does not match mode space "
@@ -40,9 +41,6 @@ def decompose_stage1(u, space: ModeSpace, tol: float = UNITARY_TOL) -> Circuit:
         )
     require_unitary(u, tol, "input")
     n_s, n_p = space.n_s, space.n_p
-    if n_s == 1:
-        return Circuit(space, [InternalOp(1, u.copy())])
-
     # ops collects factors in operator order: ops[0] is the leftmost
     # factor of the matrix product.
     ops = []

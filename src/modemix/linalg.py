@@ -42,17 +42,6 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def multiply(a, b) -> np.ndarray:
-    """Matrix product a @ b with an explicit conformability check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(
-            f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}"
-        )
-    return a @ b
-
-
 def unitarity_defect(m) -> float:
     """Largest absolute entry of M†M - 1 for a square matrix M."""
     m = as_matrix(m)
@@ -68,9 +57,9 @@ def is_unitary(m, tol: float = UNITARY_TOL) -> bool:
 
 
 def require_unitary(m, tol: float, what: str) -> None:
-    """Raise ``UnitarityError``, naming ``what``, if max|M†M - 1| exceeds ``tol``."""
+    """Raise ``UnitarityError``, naming ``what``, unless max|M†M - 1| is at most ``tol``."""
     defect = unitarity_defect(m)
-    if defect > tol:
+    if not defect <= tol:  # a NaN tolerance admits nothing
         raise UnitarityError(
             f"{what} is not unitary: deviation {defect:.3e} exceeds tolerance {tol:.1e}",
             deviation=defect,

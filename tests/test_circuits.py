@@ -139,3 +139,24 @@ class TestReconstruct:
         b = haar_random_unitary(2, 1)
         circuit = Circuit(space, [InternalOp(1, a), InternalOp(1, b)])
         assert max_abs(reconstruct(circuit), b @ a) < 1e-15
+
+    def test_mixed_circuit_matches_product_of_embeds(self):
+        space = ModeSpace(4, 3)
+        rng = np.random.default_rng(5)
+        elements = [Beamsplitter((3, 4)), CSBlock((3, 4), rng.uniform(0, np.pi / 2, 3))]
+        for i in range(38):
+            k = int(rng.integers(1, 5))
+            pair = (min(k, 3), min(k, 3) + 1)
+            kind = i % 5
+            if kind == 0:
+                elements.append(InternalOp(k, haar_random_unitary(3, i)))
+            elif kind == 1:
+                elements.append(PhaseBlock(k, rng.uniform(-np.pi, np.pi, 3)))
+            elif kind == 2:
+                elements.append(CSBlock(pair, rng.uniform(0, np.pi / 2, 3)))
+            else:
+                elements.append(Beamsplitter(pair, conjugate=kind == 4))
+        product = np.eye(space.dim, dtype=complex)
+        for element in elements:
+            product = embed(element, space) @ product
+        assert max_abs(reconstruct(Circuit(space, elements)), product) <= 1e-13

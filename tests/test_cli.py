@@ -41,6 +41,9 @@ class TestRandom:
     def test_rejects_dim_zero(self, tmp_path):
         assert run(["random", tmp_path / "x.mat", "--dim", 0, "--seed", 0]) == 4
 
+    def test_rejects_negative_seed(self, tmp_path):
+        assert run(["random", tmp_path / "x.mat", "--dim", 4, "--seed", -1]) == 4
+
 
 class TestDecompose:
     def test_identity_4x4(self, tmp_path, capsys):
@@ -80,6 +83,11 @@ class TestDecompose:
     def test_missing_file_exits_2(self, tmp_path):
         missing = tmp_path / "nope.mat"
         assert run(["decompose", missing, tmp_path / "o.json", "--ns", 2, "--np", 2]) == 2
+
+    def test_non_ascii_matrix_exits_2(self, tmp_path, haar_file):
+        inp = haar_file(4, 0)
+        inp.write_bytes(inp.read_bytes() + b"\xff\n")
+        assert run(["decompose", inp, tmp_path / "o.json", "--ns", 2, "--np", 2]) == 2
 
     def test_non_unitary_exits_3(self, tmp_path, capsys):
         from modemix import save_matrix
@@ -149,6 +157,13 @@ class TestVerify:
         out.write_text(json.dumps(doc))
         assert run(["verify", out, inp]) == 2
 
+    def test_non_ascii_circuit_exits_2(self, tmp_path, haar_file):
+        inp = haar_file(4, 1)
+        out = tmp_path / "c.json"
+        assert run(["decompose", inp, out, "--ns", 2, "--np", 2]) == 0
+        out.write_bytes(out.read_bytes().replace(b'"elements"', b'"el\xc3\xa9ments"', 1))
+        assert run(["verify", out, inp]) == 2
+
     def test_schema_violation_exits_2(self, tmp_path, haar_file):
         inp = haar_file(4, 1)
         bad = tmp_path / "bad.json"
@@ -161,6 +176,25 @@ class TestVerify:
         out = tmp_path / "c.json"
         assert run(["decompose", inp, out, "--ns", 3, "--np", 2]) == 0
         assert run(["verify", out, other]) == 4
+
+
+@pytest.mark.parametrize("command", ["decompose", "verify"])
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_tolerance_must_be_finite_and_positive(tmp_path, command, tol):
+    from modemix import save_matrix
+
+    # A non-unitary matrix, which a tolerance of nan or inf would let through.
+    bad = tmp_path / "bad.mat"
+    save_matrix(bad, np.diag([1.0, 2.0, 1.0, 1.0]))
+    if command == "decompose":
+        args = ["decompose", bad, tmp_path / "o.json", "--ns", 2, "--np", 2]
+    else:
+        identity = tmp_path / "id.mat"
+        save_matrix(identity, np.eye(4))
+        circuit = tmp_path / "id.json"
+        assert run(["decompose", identity, circuit, "--ns", 2, "--np", 2]) == 0
+        args = ["verify", circuit, bad]
+    assert run(args + ["--tol", tol]) == 4
 
 
 class TestCost:

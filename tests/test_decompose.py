@@ -74,6 +74,10 @@ class TestStage1:
         with pytest.raises(UnitarityError):
             decompose_stage1(np.eye(4) * 1.01, ModeSpace(2, 2))
 
+    def test_nan_tolerance_admits_nothing(self):
+        with pytest.raises(UnitarityError):
+            decompose(np.diag([1.0, 2.0, 1.0, 1.0]), ModeSpace(2, 2), tol=float("nan"))
+
 
 class TestExpandCsBlock:
     def test_zero_angles_expand_to_identity(self):

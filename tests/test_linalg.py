@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from modemix import (
     DimensionError,
@@ -8,7 +7,6 @@ from modemix import (
     format_matrix,
     haar_random_unitary,
     is_unitary,
-    multiply,
     parse_matrix,
     svd,
     unitarity_defect,
@@ -17,60 +15,9 @@ from modemix import (
 from conftest import max_abs
 
 
-def naive_multiply(a, b):
-    """Triple-loop product, the independent oracle for multiply()."""
-    rows, inner, cols = a.shape[0], a.shape[1], b.shape[1]
-    out = np.zeros((rows, cols), dtype=complex)
-    for i in range(rows):
-        for j in range(cols):
-            acc = 0.0 + 0.0j
-            for k in range(inner):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
-
-
 def random_complex(rows, cols, seed):
     rng = np.random.default_rng(seed)
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-
-
-class TestMultiply:
-    def test_identity(self):
-        m = random_complex(3, 3, 0)
-        assert max_abs(multiply(np.eye(3), m), m) == 0.0
-
-    def test_swap_involution(self):
-        swap = np.array([[0, 1], [1, 0]])
-        assert max_abs(multiply(swap, swap), np.eye(2)) == 0.0
-
-    def test_matches_naive_oracle(self):
-        a = random_complex(4, 4, 1)
-        b = random_complex(4, 4, 2)
-        assert max_abs(multiply(a, b), naive_multiply(a, b)) < 1e-13
-
-    def test_rectangular_matches_naive_oracle(self):
-        a = random_complex(2, 5, 3)
-        b = random_complex(5, 3, 4)
-        assert max_abs(multiply(a, b), naive_multiply(a, b)) < 1e-13
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(DimensionError, match=r"2x3.*4x2"):
-            multiply(random_complex(2, 3, 0), random_complex(4, 2, 0))
-
-    @given(
-        rows=st.integers(1, 6),
-        inner=st.integers(1, 6),
-        mid=st.integers(1, 6),
-        cols=st.integers(1, 6),
-        seed=st.integers(0, 2**31),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_associativity(self, rows, inner, mid, cols, seed):
-        a = random_complex(rows, inner, seed)
-        b = random_complex(inner, mid, seed + 1)
-        c = random_complex(mid, cols, seed + 2)
-        assert max_abs(multiply(multiply(a, b), c), multiply(a, multiply(b, c))) < 1e-12
 
 
 class TestIsUnitary:
