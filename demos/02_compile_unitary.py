@@ -3,10 +3,10 @@ Compiling a unitary onto spatial and internal modes
 ===================================================
 
 An 8 x 8 unitary can be realized on 4 spatial modes carrying 2 internal
-modes each (polarization, say). Stage 1 peels the spatial modes one by
-one with repeated cosine-sine decompositions, leaving internal operations
-and CS mixers; stage 2 turns every mixer into two balanced beamsplitters
-plus two phase blocks.
+modes each (polarization, say). Stage 1 nulls the off-diagonal blocks
+with unitaries on adjacent spatial mode pairs and cosine-sine decomposes
+all of them at once, leaving internal operations and CS mixers; stage 2
+turns every mixer into two balanced beamsplitters plus two phase blocks.
 """
 
 import numpy as np

@@ -1,7 +1,7 @@
 """modemix: compile unitary matrices onto spatial and internal optical modes.
 
 An arbitrary n_s*n_p x n_s*n_p unitary acting on n_s spatial modes with
-n_p internal modes each is factored, by iterative cosine-sine
+n_p internal modes each is factored, by block nulling and cosine-sine
 decomposition, into an ordered sequence of balanced beamsplitters on
 adjacent spatial mode pairs and unitary operations on the internal modes
 of single spatial modes. The compilation is exact: reconstructing the
@@ -32,10 +32,8 @@ from .errors import (
 )
 from .linalg import (
     UNITARY_TOL,
-    SVDResult,
     format_matrix,
     haar_random_unitary,
-    is_unitary,
     load_matrix,
     parse_matrix,
     save_matrix,
@@ -61,7 +59,6 @@ __all__ = [
     "MatrixFormatError",
     "ModeSpace",
     "PhaseBlock",
-    "SVDResult",
     "UNITARY_TOL",
     "UnitarityError",
     "UnsupportedVersionError",
@@ -77,7 +74,6 @@ __all__ = [
     "expand_cs_block",
     "format_matrix",
     "haar_random_unitary",
-    "is_unitary",
     "load_matrix",
     "parse_matrix",
     "reconstruct",

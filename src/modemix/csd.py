@@ -21,6 +21,10 @@ block rotates them onto the diagonal. Applied to L and R alike, the
 rotation keeps the cosine block diagonal to rounding, because above 1/√2
 cosines move less than sines do. R' is then read off U†(L ⊕ L')S with no
 division by a sine.
+
+The construction is written once, over a stack of unitaries of one size:
+stage 1 decomposes all its adjacent-mode unitaries in one call, and
+``csd`` is the case of a single matrix.
 """
 
 from __future__ import annotations
@@ -108,35 +112,49 @@ def csd(u, m: int, tol: float = UNITARY_TOL) -> CSDResult:
     ``DimensionError`` for invalid block sizes.
     """
     u = np.asarray(u, dtype=complex)
-    blocks = block_partition(u, m)
+    block_partition(u, m)  # for its square and block-size checks
     n = u.shape[0] - m
     if m > n:
         raise DimensionError(f"top block m={m} exceeds bottom block n={n}; only m <= n is supported")
     require_unitary(u, tol, "input")
+    factors = csd_stack(u[np.newaxis], m)
+    return CSDResult(*(f[0] for f in factors), m, n)
 
-    a, b, c, d = blocks
+
+def csd_stack(u: np.ndarray, m: int) -> tuple:
+    """CSD factors (L, L', θ, R, R') of every unitary in a (K, m+n, m+n) stack.
+
+    The inputs are taken as unitary and m <= n, unchecked. Each factor
+    gains the leading stack axis. The one step that differs between
+    matrices, straightening the k columns whose sine is below 1/√2, runs
+    once per distinct k.
+    """
+    n = u.shape[-1] - m
+    a, b, c, d = u[:, :m, :m], u[:, :m, m:], u[:, m:, :m], u[:, m:, m:]
     # Reverse the SVD's columns so that sines decrease from left to right.
     lt, cosines, rt = svd(a)
-    lt, rt = lt[:, ::-1], rt[:, ::-1]
+    lt, rt = lt[..., ::-1], rt[..., ::-1]
     lb, tri = np.linalg.qr(c @ rt, mode="complete")
-    k = int(np.count_nonzero(cosines > np.sqrt(0.5)))
-    if k:
-        x, _, y = svd(tri[m - k : m, m - k :])
-        lt[:, m - k :] = lt[:, m - k :] @ y
-        rt[:, m - k :] = rt[:, m - k :] @ y
-        lb[:, m - k : m] = lb[:, m - k : m] @ x
-    lt, rt = lt[:, ::-1], rt[:, ::-1]
-    lb[:, :m] = lb[:, m - 1 :: -1]
+    ks = np.count_nonzero(cosines > np.sqrt(0.5), axis=-1)
+    for k in np.unique(ks[ks > 0]):
+        group = np.flatnonzero(ks == k)
+        x, _, y = svd(tri[group, m - k : m, m - k :])
+        lt[group, :, m - k :] = lt[group, :, m - k :] @ y
+        rt[group, :, m - k :] = rt[group, :, m - k :] @ y
+        lb[group, :, m - k : m] = lb[group, :, m - k : m] @ x
+    lt, rt = lt[..., ::-1], rt[..., ::-1]
+    lb[..., :m] = lb[..., m - 1 :: -1]
 
     # Give L' the phases that make diag(L'†CR) = -sin θ. Zero sines carry
     # no phase information and keep phase 1.
-    diag_c = np.einsum("ij,ij->j", lb[:, :m].conj(), c @ rt)
+    diag_c = np.einsum("kij,kij->kj", lb[..., :m].conj(), c @ rt)
     sines = np.abs(diag_c)
-    lb[:, :m] *= np.where(sines > 0, -diag_c / np.where(sines > 0, sines, 1.0), 1.0)
-    diag_a = np.einsum("ij,ij->j", lt.conj(), a @ rt).real
+    lb[..., :m] *= np.where(sines > 0, -diag_c / np.where(sines > 0, sines, 1.0), 1.0)[:, np.newaxis]
+    diag_a = np.einsum("kij,kij->kj", lt.conj(), a @ rt).real
     thetas = np.clip(np.arctan2(sines, diag_a), 0.0, np.pi / 2)
 
     # R' is the bottom-right block of U†(L ⊕ L')S.
-    rb = d.conj().T @ (lb * np.r_[np.cos(thetas), np.ones(n - m)])
-    rb[:, :m] += b.conj().T @ (lt * np.sin(thetas))
-    return CSDResult(lt, lb, thetas, rt, rb, m, n)
+    scale = np.concatenate([np.cos(thetas), np.ones((len(u), n - m))], axis=-1)
+    rb = d.conj().swapaxes(1, 2) @ (lb * scale[:, np.newaxis])
+    rb[..., :m] += b.conj().swapaxes(1, 2) @ (lt * np.sin(thetas)[:, np.newaxis])
+    return lt, lb, thetas, rt, rb

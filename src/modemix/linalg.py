@@ -1,13 +1,11 @@
 """Dense complex matrix arithmetic used by every other module.
 
 Matrices are plain 2-D ``numpy.ndarray`` objects with dtype complex128,
-row-major. All operations are pure functions; nothing here mutates its
-arguments.
+row-major; ``svd`` also takes a stack of them. All operations are pure
+functions; nothing here mutates its arguments.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -17,19 +15,6 @@ from .errors import DimensionError, MatrixFormatError, UnitarityError
 # held to 1e-9 instead, which leaves room for error growth over the
 # O(n_s^2) factor multiplications of a full decomposition.
 UNITARY_TOL = 1e-10
-
-
-class SVDResult(NamedTuple):
-    """Singular value decomposition ``M = left @ diag(singulars) @ right†``.
-
-    ``left`` is m x m unitary, ``right`` is n x n unitary and ``singulars``
-    holds the min(m, n) singular values in non-increasing order. For
-    rectangular input the diagonal factor is rectangular as well.
-    """
-
-    left: np.ndarray
-    singulars: np.ndarray
-    right: np.ndarray
 
 
 def as_matrix(a) -> np.ndarray:
@@ -51,11 +36,6 @@ def unitarity_defect(m) -> float:
     return float(np.max(np.abs(m.conj().T @ m - eye))) if m.size else 0.0
 
 
-def is_unitary(m, tol: float = UNITARY_TOL) -> bool:
-    """Whether max|M†M - 1| is at most ``tol``."""
-    return unitarity_defect(m) <= tol
-
-
 def require_unitary(m, tol: float, what: str) -> None:
     """Raise ``UnitarityError``, naming ``what``, unless max|M†M - 1| is at most ``tol``."""
     defect = unitarity_defect(m)
@@ -66,16 +46,22 @@ def require_unitary(m, tol: float, what: str) -> None:
         )
 
 
-def svd(m) -> SVDResult:
-    """Singular value decomposition of a finite complex matrix.
+def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Singular value decomposition ``M = left @ diag(singulars) @ right†``.
 
-    Delegates to LAPACK through numpy; the returned ``right`` factor is V
-    itself (not its adjoint), so reconstruction reads
-    ``left @ diag(singulars) @ right.conj().T``.
+    Returns ``(left, singulars, right)``. For an m x n matrix ``left`` is
+    m x m unitary, ``right`` is n x n unitary (V itself, not its adjoint)
+    and ``singulars`` holds the min(m, n) singular values in non-increasing
+    order. A stack of matrices gives a stack of each factor. Delegates to
+    LAPACK through numpy.
     """
-    m = as_matrix(m)
+    m = np.asarray(m, dtype=complex)
+    if m.ndim < 2:
+        raise DimensionError(f"expected a matrix or a stack of matrices, got {m.ndim} dimensions")
+    if m.size and not np.all(np.isfinite(m)):
+        raise ValueError("matrix contains non-finite entries")
     left, singulars, vh = np.linalg.svd(m, full_matrices=True)
-    return SVDResult(left, singulars, vh.conj().T)
+    return left, singulars, vh.conj().swapaxes(-1, -2)
 
 
 def haar_random_unitary(dim: int, seed: int) -> np.ndarray:

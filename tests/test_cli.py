@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from modemix import load_matrix, parse_matrix, is_unitary
+from modemix import load_matrix, parse_matrix, unitarity_defect
 from modemix.cli import main
 
 
@@ -27,7 +27,7 @@ def haar_file(tmp_path):
 class TestRandom:
     def test_writes_unitary_matrix(self, tmp_path, haar_file):
         path = haar_file(6, 1)
-        assert is_unitary(load_matrix(path), 1e-10)
+        assert unitarity_defect(load_matrix(path)) <= 1e-10
 
     def test_deterministic(self, tmp_path, haar_file):
         a = haar_file(4, 3, "a.mat")
@@ -267,7 +267,7 @@ class TestCsdCommand:
             assert (tmp_path / f"f.{suffix}.mat").exists()
         left_top = load_matrix(tmp_path / "f.left_top.mat")
         assert left_top.shape == (2, 2)
-        assert is_unitary(left_top, 1e-10)
+        assert unitarity_defect(left_top) <= 1e-10
 
     def test_m_exceeding_n_exits_4(self, tmp_path, haar_file):
         inp = haar_file(6, 4)
@@ -287,4 +287,4 @@ class TestSubprocessEntry:
             text=True,
         )
         assert result.returncode == 0
-        assert is_unitary(parse_matrix(out.read_text()), 1e-10)
+        assert unitarity_defect(parse_matrix(out.read_text())) <= 1e-10

@@ -3,14 +3,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modemix import (
+    CSDResult,
     DimensionError,
     UnitarityError,
     block_partition,
     cs_matrix,
     csd,
     haar_random_unitary,
-    is_unitary,
+    unitarity_defect,
 )
+from modemix.csd import csd_stack
 
 from conftest import block_diag_unitary, cs_conjugated, max_abs
 
@@ -95,10 +97,10 @@ def all_block_relations_hold(u, m, tol=1e-12):
 def assert_canonical(result, u, tol=1e-10):
     """Check every CSDResult invariant, not just reassembly."""
     m, n = result.m, result.n
-    assert is_unitary(result.left_top, 1e-10)
-    assert is_unitary(result.left_bottom, 1e-10)
-    assert is_unitary(result.right_top, 1e-10)
-    assert is_unitary(result.right_bottom, 1e-10)
+    assert unitarity_defect(result.left_top) <= 1e-10
+    assert unitarity_defect(result.left_bottom) <= 1e-10
+    assert unitarity_defect(result.right_top) <= 1e-10
+    assert unitarity_defect(result.right_bottom) <= 1e-10
     assert np.all(result.thetas >= 0.0) and np.all(result.thetas <= np.pi / 2)
     assert np.all(np.diff(np.cos(result.thetas)) <= 1e-8)
     assert max_abs(result.assemble(), u) <= tol
@@ -233,3 +235,43 @@ class TestCsd:
         u = haar_random_unitary(m + n, seed)
         result = csd(u, m)
         assert max_abs(result.assemble(), u) <= 1e-10
+
+
+class TestCsdStack:
+    """The stacked kernel behind ``csd`` and stage 1."""
+
+    N_P = 4
+
+    @classmethod
+    def stack(cls):
+        """Unitaries whose counts k of cosines above 1/√2 cover 0..n_p."""
+        m = cls.N_P
+        rng = np.random.default_rng(21)
+        small, large = np.pi / 8, 3 * np.pi / 8
+        members = []
+        for k in range(m + 1):
+            members.append(cs_conjugated([small] * k + [large] * (m - k), m, m, 30 + k))
+            # exact zero and right angles
+            members.append(cs_conjugated([0.0] * k + [np.pi / 2] * (m - k), m, m, 40 + k))
+        members.append(np.eye(2 * m, dtype=complex))
+        members.append(np.roll(np.eye(2 * m), m, axis=0).astype(complex))
+        for _ in range(3):
+            members.append(np.eye(2 * m)[rng.permutation(2 * m)].astype(complex))
+        members.extend(haar_random_unitary(2 * m, seed) for seed in range(4))
+        return np.array(members)
+
+    def test_stack_covers_every_k(self):
+        cosines = np.linalg.svd(self.stack()[:, : self.N_P, : self.N_P], compute_uv=False)
+        ks = np.count_nonzero(cosines > np.sqrt(0.5), axis=-1)
+        assert set(ks.tolist()) == set(range(self.N_P + 1))
+
+    def test_each_slice_matches_csd_alone(self):
+        stack, m = self.stack(), self.N_P
+        factors = csd_stack(stack, m)
+        for i, u in enumerate(stack):
+            alone = csd(u, m)
+            single = (alone.left_top, alone.left_bottom, alone.thetas, alone.right_top, alone.right_bottom)
+            for stacked_factor, factor in zip(factors, single):
+                assert max_abs(stacked_factor[i], factor) <= 1e-14, i
+            result = CSDResult(*(f[i] for f in factors), m, m)
+            assert max_abs(result.assemble(), u) <= 1e-13, i

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,11 +18,12 @@ from modemix import (
     embed,
     expand_cs_block,
     haar_random_unitary,
-    is_unitary,
     reconstruct,
+    unitarity_defect,
 )
 
 from conftest import block_diag_unitary, max_abs
+from paper_cascade import cascade_stage1
 
 
 def count_kinds(circuit):
@@ -59,7 +62,7 @@ class TestStage1:
         circuit = decompose_stage1(haar_random_unitary(8, 3), space)
         for element in circuit.elements:
             if isinstance(element, InternalOp):
-                assert is_unitary(element.matrix, 1e-10)
+                assert unitarity_defect(element.matrix) <= 1e-10
             else:
                 assert isinstance(element, CSBlock)
                 k, l = element.pair
@@ -73,6 +76,16 @@ class TestStage1:
     def test_rejects_non_unitary(self):
         with pytest.raises(UnitarityError):
             decompose_stage1(np.eye(4) * 1.01, ModeSpace(2, 2))
+
+    def test_input_is_checked_once(self, monkeypatch):
+        # Every block stage 1 decomposes is unitary by construction; only the
+        # input needs the gate.
+        linalg = sys.modules["modemix.linalg"]
+        defect = linalg.unitarity_defect
+        calls = []
+        monkeypatch.setattr(linalg, "unitarity_defect", lambda m: calls.append(1) or defect(m))
+        decompose_stage1(haar_random_unitary(16, 0), ModeSpace(16, 1))
+        assert len(calls) == 1
 
     def test_nan_tolerance_admits_nothing(self):
         with pytest.raises(UnitarityError):
@@ -211,3 +224,61 @@ class TestDecompose:
         space = ModeSpace(n_s, n_p)
         u = haar_random_unitary(space.dim, seed)
         assert max_abs(reconstruct(decompose(u, space)), u) <= 1e-9
+
+
+def structured_inputs(n_s, n_p, seed):
+    """Inputs whose off-diagonal blocks are mostly zero, so most nulling steps are trivial."""
+    rng = np.random.default_rng(seed)
+    dim = n_s * n_p
+    yield np.eye(dim, dtype=complex)
+    spatial_permutation = np.eye(n_s)[rng.permutation(n_s)]
+    yield np.kron(spatial_permutation, haar_random_unitary(n_p, seed))
+    per_mode = np.zeros((dim, dim), dtype=complex)
+    for k in range(n_s):
+        per_mode[k * n_p : (k + 1) * n_p, k * n_p : (k + 1) * n_p] = haar_random_unitary(n_p, seed + k)
+    yield per_mode
+    if dim > 1:
+        split = int(rng.integers(1, dim))
+        yield block_diag_unitary(haar_random_unitary(split, seed), haar_random_unitary(dim - split, seed + 1))
+
+
+class TestAgainstPaperCascade:
+    """Stage 1 and the paper's cascade build circuits of the same shape."""
+
+    # The shapes of acceptance criterion 1.
+    GRID = [(n_s, n_p) for n_s in range(1, 7) for n_p in range(1, 5)]
+
+    @staticmethod
+    def assert_both_compile(u, space):
+        for circuit in (decompose_stage1(u, space), cascade_stage1(u, space)):
+            assert max_abs(reconstruct(circuit), u) <= 1e-9
+            counts = count_kinds(circuit)
+            assert counts[InternalOp] == space.n_s**2
+            assert counts[CSBlock] == space.n_s * (space.n_s - 1) // 2
+            assert counts[Beamsplitter] == 0 and counts[PhaseBlock] == 0
+
+    @pytest.mark.parametrize("n_s,n_p", GRID)
+    def test_haar_grid(self, n_s, n_p):
+        space = ModeSpace(n_s, n_p)
+        for seed in range(3):
+            self.assert_both_compile(haar_random_unitary(space.dim, seed), space)
+
+    @pytest.mark.parametrize("n_p", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n_s", [1, 2, 3, 5, 8])
+    def test_structured_inputs(self, n_s, n_p):
+        space = ModeSpace(n_s, n_p)
+        for seed in range(2):
+            for u in structured_inputs(n_s, n_p, seed):
+                self.assert_both_compile(u, space)
+
+    def test_two_spatial_modes_give_the_cascade_circuit(self):
+        # At n_s = 2 both routes are one CSD of the whole input.
+        space = ModeSpace(2, 3)
+        u = haar_random_unitary(6, 4)
+        new, old = decompose_stage1(u, space).elements, cascade_stage1(u, space).elements
+        assert [type(e) for e in new] == [type(e) for e in old]
+        for a, b in zip(new, old):
+            if isinstance(a, InternalOp):
+                assert a.mode == b.mode and np.array_equal(a.matrix, b.matrix)
+            else:
+                assert a.pair == b.pair and np.array_equal(a.thetas, b.thetas)

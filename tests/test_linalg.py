@@ -6,7 +6,6 @@ from modemix import (
     MatrixFormatError,
     format_matrix,
     haar_random_unitary,
-    is_unitary,
     parse_matrix,
     svd,
     unitarity_defect,
@@ -22,21 +21,21 @@ def random_complex(rows, cols, seed):
 
 class TestIsUnitary:
     def test_identity(self):
-        assert is_unitary(np.eye(5), 1e-12)
+        assert unitarity_defect(np.eye(5)) <= 1e-12
 
     def test_rejects_scaled_diagonal(self):
-        assert not is_unitary(np.diag([1.0, 2.0]), 1e-12)
+        assert unitarity_defect(np.diag([1.0, 2.0])) > 1e-12
 
     def test_haar_sample_from_qr(self):
         # independent construction: QR of a complex Gaussian matrix
         rng = np.random.default_rng(6)
         z = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         q, _ = np.linalg.qr(z)
-        assert is_unitary(q, 1e-10)
+        assert unitarity_defect(q) <= 1e-10
 
     def test_non_square_raises(self):
         with pytest.raises(DimensionError):
-            is_unitary(np.zeros((2, 3)))
+            unitarity_defect(np.zeros((2, 3)))
 
     def test_defect_measures_deviation(self):
         m = np.eye(3)
@@ -44,53 +43,67 @@ class TestIsUnitary:
         assert unitarity_defect(m) == pytest.approx(2e-6, rel=1e-3)
 
 
-def svd_reconstruct(result, rows, cols):
-    diag = np.zeros((rows, cols))
-    k = min(rows, cols)
-    diag[:k, :k] = np.diag(result.singulars)
-    return result.left @ diag @ result.right.conj().T
+def svd_reconstruct(left, singulars, right):
+    diag = np.zeros((left.shape[0], right.shape[0]))
+    k = singulars.size
+    diag[:k, :k] = np.diag(singulars)
+    return left @ diag @ right.conj().T
 
 
 class TestSvd:
     def test_diagonal_matrix(self):
-        result = svd(np.diag([3.0, 1.0]))
-        assert np.allclose(result.singulars, [3.0, 1.0])
+        left, singulars, right = svd(np.diag([3.0, 1.0]))
+        assert np.allclose(singulars, [3.0, 1.0])
         # factors are diagonal phase matrices for diagonal input
-        assert np.allclose(np.abs(result.left), np.eye(2), atol=1e-14)
-        assert np.allclose(np.abs(result.right), np.eye(2), atol=1e-14)
+        assert np.allclose(np.abs(left), np.eye(2), atol=1e-14)
+        assert np.allclose(np.abs(right), np.eye(2), atol=1e-14)
 
     def test_zero_rectangular(self):
-        result = svd(np.zeros((2, 3)))
-        assert np.allclose(result.singulars, 0.0)
-        assert is_unitary(result.left, 1e-12)
-        assert is_unitary(result.right, 1e-12)
-        assert max_abs(svd_reconstruct(result, 2, 3), np.zeros((2, 3))) < 1e-15
+        left, singulars, right = svd(np.zeros((2, 3)))
+        assert np.allclose(singulars, 0.0)
+        assert unitarity_defect(left) <= 1e-12
+        assert unitarity_defect(right) <= 1e-12
+        assert max_abs(svd_reconstruct(left, singulars, right), np.zeros((2, 3))) < 1e-15
 
     def test_random_against_eigen_oracle(self):
         m = random_complex(3, 3, 7)
-        result = svd(m)
-        assert max_abs(svd_reconstruct(result, 3, 3), m) < 1e-12
+        left, singulars, right = svd(m)
+        assert max_abs(svd_reconstruct(left, singulars, right), m) < 1e-12
         # independent oracle: singular values are the square roots of the
         # eigenvalues of M†M
         eigvals = np.linalg.eigvalsh(m.conj().T @ m)[::-1]
-        assert np.allclose(result.singulars**2, eigvals, atol=1e-12)
+        assert np.allclose(singulars**2, eigvals, atol=1e-12)
 
     def test_singulars_non_increasing_and_nonnegative(self):
-        result = svd(random_complex(5, 4, 8))
-        assert np.all(result.singulars >= 0)
-        assert np.all(np.diff(result.singulars) <= 0)
+        _, singulars, _ = svd(random_complex(5, 4, 8))
+        assert np.all(singulars >= 0)
+        assert np.all(np.diff(singulars) <= 0)
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 7, 16, 33, 64])
     def test_reconstruction_up_to_dim_64(self, dim):
         m = random_complex(dim, dim, dim) * 3.0
-        result = svd(m)
+        left, singulars, right = svd(m)
         bound = 1e-11 * max(1.0, float(np.max(np.abs(m))))
-        assert max_abs(svd_reconstruct(result, dim, dim), m) <= bound
+        assert max_abs(svd_reconstruct(left, singulars, right), m) <= bound
+
+    def test_stack_matches_each_matrix(self):
+        stack = np.array([random_complex(3, 2, seed) for seed in range(4)])
+        lefts, singulars, rights = svd(stack)
+        assert lefts.shape == (4, 3, 3) and singulars.shape == (4, 2) and rights.shape == (4, 2, 2)
+        for i, m in enumerate(stack):
+            left, s, right = svd(m)
+            assert max_abs(lefts[i], left) == 0.0
+            assert max_abs(singulars[i], s) == 0.0
+            assert max_abs(rights[i], right) == 0.0
 
     def test_rejects_nonfinite(self):
         bad = np.array([[1.0, np.nan], [0.0, 1.0]])
         with pytest.raises(ValueError):
             svd(bad)
+
+    def test_rejects_vector(self):
+        with pytest.raises(DimensionError):
+            svd(np.ones(3))
 
 
 class TestHaarRandomUnitary:
@@ -108,12 +121,12 @@ class TestHaarRandomUnitary:
         assert max_abs(haar_random_unitary(4, 0), haar_random_unitary(4, 1)) > 1e-3
 
     def test_unitary_dim6(self):
-        assert is_unitary(haar_random_unitary(6, 1), 1e-10)
+        assert unitarity_defect(haar_random_unitary(6, 1)) <= 1e-10
 
     def test_unitary_all_dims_and_seeds(self):
         for dim in range(1, 65):
             for seed in range(100):
-                assert is_unitary(haar_random_unitary(dim, seed), 1e-10)
+                assert unitarity_defect(haar_random_unitary(dim, seed)) <= 1e-10
 
     def test_rejects_dim_zero(self):
         with pytest.raises(DimensionError):
