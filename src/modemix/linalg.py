@@ -1,8 +1,8 @@
 """Dense complex matrix arithmetic used by every other module.
 
 Matrices are plain 2-D ``numpy.ndarray`` objects with dtype complex128,
-row-major; ``svd`` also takes a stack of them. All operations are pure
-functions; nothing here mutates its arguments.
+row-major; ``svd`` and ``unitarity_defect`` also take a stack of them.
+All operations are pure functions; nothing here mutates its arguments.
 """
 
 from __future__ import annotations
@@ -17,23 +17,23 @@ from .errors import DimensionError, MatrixFormatError, UnitarityError
 UNITARY_TOL = 1e-10
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce ``a`` to a finite 2-D complex128 array."""
+def _as_stack(a) -> np.ndarray:
+    """Coerce ``a`` to a finite complex128 matrix or stack of matrices."""
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2:
-        raise DimensionError(f"expected a 2-D matrix, got {m.ndim} dimensions")
+    if m.ndim < 2:
+        raise DimensionError(f"expected a matrix or a stack of matrices, got {m.ndim} dimensions")
     if m.size and not np.all(np.isfinite(m)):
         raise ValueError("matrix contains non-finite entries")
     return m
 
 
 def unitarity_defect(m) -> float:
-    """Largest absolute entry of M†M - 1 for a square matrix M."""
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
+    """Largest absolute entry of M†M - 1 for a square matrix M, or over a stack of them."""
+    m = _as_stack(m)
+    if m.shape[-1] != m.shape[-2]:
         raise DimensionError(f"unitarity is defined for square matrices, got shape {m.shape}")
-    eye = np.eye(m.shape[0])
-    return float(np.max(np.abs(m.conj().T @ m - eye))) if m.size else 0.0
+    eye = np.eye(m.shape[-1])
+    return float(np.max(np.abs(m.conj().swapaxes(-1, -2) @ m - eye))) if m.size else 0.0
 
 
 def require_unitary(m, tol: float, what: str) -> None:
@@ -55,11 +55,7 @@ def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     order. A stack of matrices gives a stack of each factor. Delegates to
     LAPACK through numpy.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim < 2:
-        raise DimensionError(f"expected a matrix or a stack of matrices, got {m.ndim} dimensions")
-    if m.size and not np.all(np.isfinite(m)):
-        raise ValueError("matrix contains non-finite entries")
+    m = _as_stack(m)
     left, singulars, vh = np.linalg.svd(m, full_matrices=True)
     return left, singulars, vh.conj().swapaxes(-1, -2)
 
@@ -94,7 +90,9 @@ def _format_entry(z: complex) -> str:
 
 def format_matrix(m) -> str:
     """Render a matrix in the text format, one row per line."""
-    m = as_matrix(m)
+    m = _as_stack(m)
+    if m.ndim != 2:
+        raise DimensionError(f"expected a 2-D matrix, got {m.ndim} dimensions")
     lines = [f"{m.shape[0]} {m.shape[1]}"]
     for row in m:
         lines.append(" ".join(_format_entry(z) for z in row))

@@ -9,10 +9,16 @@ tagged by ``kind``:
     {"kind": "phase_block", "spatial_index": k, "phases": [...]}
     {"kind": "cs_block", "spatial_pair": [k, k+1], "thetas": [...]}
 
-Complex matrix entries are two-element [re, im] arrays. Floats are written
+The writer puts the header on the first line and each element on a line
+of its own. numpy turns every value into a Python float, which JSON writes
 with ``repr`` precision, so a serialize/deserialize round trip is
-bit-exact. Unknown versions are rejected outright; silent misreads of a
-circuit are worse than failures.
+bit-exact. Complex matrix entries are [re, im] pairs, the memory layout of
+one complex128.
+
+The reader takes every numeric array through one rule (fixed shape, JSON
+numbers only, all finite) and checks the internal matrices of a document
+for unitarity in one call, over their stack. Unknown versions are rejected
+outright; silent misreads of a circuit are worse than failures.
 """
 
 from __future__ import annotations
@@ -31,11 +37,11 @@ FORMAT_VERSION = "1"
 
 def _element_to_obj(element) -> dict:
     if isinstance(element, InternalOp):
-        matrix = np.asarray(element.matrix, dtype=complex)
+        matrix = np.ascontiguousarray(element.matrix, dtype=complex)
         return {
             "kind": "internal",
             "spatial_index": int(element.mode),
-            "matrix": [[[z.real, z.imag] for z in row] for row in matrix],
+            "matrix": matrix.view(float).reshape(*matrix.shape, 2).tolist(),
         }
     if isinstance(element, Beamsplitter):
         return {
@@ -47,26 +53,24 @@ def _element_to_obj(element) -> dict:
         return {
             "kind": "phase_block",
             "spatial_index": int(element.mode),
-            "phases": [float(p) for p in np.asarray(element.phases, dtype=float)],
+            "phases": np.asarray(element.phases, dtype=float).tolist(),
         }
     if isinstance(element, CSBlock):
         return {
             "kind": "cs_block",
             "spatial_pair": [int(element.pair[0]), int(element.pair[1])],
-            "thetas": [float(t) for t in np.asarray(element.thetas, dtype=float)],
+            "thetas": np.asarray(element.thetas, dtype=float).tolist(),
         }
     raise TypeError(f"unknown circuit element type: {type(element).__name__}")
 
 
 def serialize(circuit: Circuit) -> str:
-    """Render a circuit as a JSON document."""
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "n_s": circuit.space.n_s,
-        "n_p": circuit.space.n_p,
-        "elements": [_element_to_obj(e) for e in circuit.elements],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """Render a circuit as a JSON document: the header line, then one element per line."""
+    header = json.dumps(
+        {"format_version": FORMAT_VERSION, "n_s": circuit.space.n_s, "n_p": circuit.space.n_p}
+    )
+    elements = ",\n".join(json.dumps(_element_to_obj(e)) for e in circuit.elements)
+    return f'{header[:-1]}, "elements": [\n{elements}]}}\n'
 
 
 def _require(condition: bool, message: str) -> None:
@@ -76,7 +80,7 @@ def _require(condition: bool, message: str) -> None:
 
 # Exact type tests: JSON true and false parse as bool, a subclass of int,
 # and are neither indices nor numbers.
-_NUMBER_TYPES = (float, int)
+_NUMBER_TYPES = {float, int}
 
 
 def _is_int(value) -> bool:
@@ -99,47 +103,32 @@ def _as_pair(value, space: ModeSpace) -> tuple[int, int]:
     return pair
 
 
-def _finite_floats(value, what: str) -> np.ndarray:
-    """Float array of JSON numbers; an integer too large for a float is not finite either."""
+def _numbers(value, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """Float array of nested JSON numbers of exactly ``shape``.
+
+    A ragged array or one of the wrong depth has another object-array shape;
+    an integer too large for a float counts as non-finite.
+    """
+    items = np.array(value, dtype=object)
+    _require(items.shape == shape, f"{what} must be a nested array of shape {list(shape)}")
+    _require(set(map(type, items.flat)) <= _NUMBER_TYPES, f"{what} contains non-numeric values")
     try:
-        out = np.asarray(value, dtype=float)
+        out = items.astype(float)
     except OverflowError:
         raise CircuitFormatError(f"{what} contains non-finite values") from None
-    _require(bool(np.all(np.isfinite(out))), f"{what} contains non-finite values")
+    _require(np.isfinite(out).all(), f"{what} contains non-finite values")
     return out
-
-
-def _as_floats(value, n_p: int, what: str) -> np.ndarray:
-    _require(isinstance(value, list) and len(value) == n_p, f"{what} must hold {n_p} numbers")
-    _require(all(type(v) in _NUMBER_TYPES for v in value), f"{what} contains non-numeric values")
-    return _finite_floats(value, what)
-
-
-def _as_internal_matrix(value, n_p: int) -> np.ndarray:
-    _require(isinstance(value, list) and len(value) == n_p, f"matrix must have {n_p} rows")
-    for row in value:
-        _require(isinstance(row, list) and len(row) == n_p, f"matrix rows must have {n_p} entries")
-        for entry in row:
-            _require(
-                isinstance(entry, list)
-                and len(entry) == 2
-                and type(entry[0]) in _NUMBER_TYPES
-                and type(entry[1]) in _NUMBER_TYPES,
-                "matrix entries must be numeric [re, im] pairs",
-            )
-    # Each [re, im] pair is the memory layout of one complex128, so the view
-    # keeps every bit, the sign of a zero included.
-    matrix = _finite_floats(value, "matrix").view(complex)[..., 0]
-    require_unitary(matrix, UNITARY_TOL, "internal operation")
-    return matrix
 
 
 def _obj_to_element(obj, space: ModeSpace):
     _require(isinstance(obj, dict), "elements must be objects")
     kind = obj.get("kind")
+    n_p = space.n_p
     if kind == "internal":
         mode = _as_index(obj.get("spatial_index"), space)
-        return InternalOp(mode, _as_internal_matrix(obj.get("matrix"), space.n_p))
+        # The view keeps every bit of each [re, im] pair, the sign of a zero included.
+        matrix = _numbers(obj.get("matrix"), (n_p, n_p, 2), "matrix").view(complex)[..., 0]
+        return InternalOp(mode, matrix)
     if kind == "beamsplitter":
         pair = _as_pair(obj.get("spatial_pair"), space)
         conjugate = obj.get("conjugate", False)
@@ -147,10 +136,10 @@ def _obj_to_element(obj, space: ModeSpace):
         return Beamsplitter(pair, conjugate)
     if kind == "phase_block":
         mode = _as_index(obj.get("spatial_index"), space)
-        return PhaseBlock(mode, _as_floats(obj.get("phases"), space.n_p, "phases"))
+        return PhaseBlock(mode, _numbers(obj.get("phases"), (n_p,), "phases"))
     if kind == "cs_block":
         pair = _as_pair(obj.get("spatial_pair"), space)
-        return CSBlock(pair, _as_floats(obj.get("thetas"), space.n_p, "thetas"))
+        return CSBlock(pair, _numbers(obj.get("thetas"), (n_p,), "thetas"))
     raise CircuitFormatError(f"unknown element kind {kind!r}")
 
 
@@ -159,8 +148,8 @@ def deserialize(text: str) -> Circuit:
 
     Raises ``CircuitFormatError`` for malformed documents,
     ``UnsupportedVersionError`` for unknown versions, ``DimensionError``
-    for out-of-range mode indices and ``UnitarityError`` for internal
-    operations that are not unitary.
+    for out-of-range mode indices and, once the whole document has parsed,
+    ``UnitarityError`` if any internal operation is not unitary.
     """
     try:
         doc = json.loads(text)
@@ -179,4 +168,7 @@ def deserialize(text: str) -> Circuit:
     elements_obj = doc.get("elements")
     _require(isinstance(elements_obj, list), "elements must be an array")
     elements = [_obj_to_element(obj, space) for obj in elements_obj]
+    matrices = [e.matrix for e in elements if isinstance(e, InternalOp)]
+    stack = np.array(matrices, dtype=complex).reshape(-1, space.n_p, space.n_p)
+    require_unitary(stack, UNITARY_TOL, "an internal operation")
     return Circuit(space, elements)

@@ -42,6 +42,21 @@ class TestIsUnitary:
         m[0, 0] = 1.0 + 1e-6
         assert unitarity_defect(m) == pytest.approx(2e-6, rel=1e-3)
 
+    def test_stack_is_max_over_slices(self):
+        stack = np.array([haar_random_unitary(4, seed) for seed in range(5)])
+        stack[3] *= 1.0 + 1e-7
+        stack[1, 0, 2] += 1e-5
+        slices = [unitarity_defect(m) for m in stack]
+        assert unitarity_defect(stack) == pytest.approx(max(slices), rel=1e-12)
+        assert unitarity_defect(stack) > 1e-6
+
+    def test_empty_stack_has_no_defect(self):
+        assert unitarity_defect(np.zeros((0, 3, 3))) == 0.0
+
+    def test_vector_raises(self):
+        with pytest.raises(DimensionError):
+            unitarity_defect(np.ones(3))
+
 
 def svd_reconstruct(left, singulars, right):
     diag = np.zeros((left.shape[0], right.shape[0]))
