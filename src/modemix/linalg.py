@@ -84,19 +84,18 @@ def haar_random_unitary(dim: int, seed: int) -> np.ndarray:
 # 17 significant digits so float64 values round-trip exactly.
 
 
-def _format_entry(z: complex) -> str:
-    return f"{z.real:.17g}{z.imag:+.17g}j"
-
-
 def format_matrix(m) -> str:
-    """Render a matrix in the text format, one row per line."""
+    """Render a matrix in the text format, one row per line.
+
+    Each row goes through one format string over its float view, so no
+    Python float list of the whole matrix is held.
+    """
     m = _as_stack(m)
     if m.ndim != 2:
         raise DimensionError(f"expected a 2-D matrix, got {m.ndim} dimensions")
-    lines = [f"{m.shape[0]} {m.shape[1]}"]
-    for row in m:
-        lines.append(" ".join(_format_entry(z) for z in row))
-    return "\n".join(lines) + "\n"
+    row_format = " ".join(["%.17g%+.17gj"] * m.shape[1])
+    rows = (row_format % tuple(row.tolist()) for row in np.ascontiguousarray(m).view(float))
+    return f"{m.shape[0]} {m.shape[1]}\n" + "\n".join(rows) + "\n"
 
 
 def parse_matrix(text: str) -> np.ndarray:

@@ -15,10 +15,10 @@ with ``repr`` precision, so a serialize/deserialize round trip is
 bit-exact. Complex matrix entries are [re, im] pairs, the memory layout of
 one complex128.
 
-The reader takes every numeric array through one rule (fixed shape, JSON
-numbers only, all finite) and checks the internal matrices of a document
-for unitarity in one call, over their stack. Unknown versions are rejected
-outright; silent misreads of a circuit are worse than failures.
+The reader checks each field of each element kind as one stack (one rule
+for all numeric arrays: fixed shape, JSON numbers only, all finite) and the
+internal matrices of a document for unitarity in one call. Unknown versions
+are rejected outright; silent misreads of a circuit are worse than failures.
 """
 
 from __future__ import annotations
@@ -78,40 +78,26 @@ def _require(condition: bool, message: str) -> None:
         raise CircuitFormatError(message)
 
 
+_KINDS = ("internal", "beamsplitter", "phase_block", "cs_block")
+
 # Exact type tests: JSON true and false parse as bool, a subclass of int,
 # and are neither indices nor numbers.
 _NUMBER_TYPES = {float, int}
 
 
-def _is_int(value) -> bool:
-    return type(value) is int
+def _numbers(values: list, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """Float stack of the nested JSON numbers ``values``, each of exactly ``shape``.
 
-
-def _as_index(value, space: ModeSpace) -> int:
-    _require(_is_int(value), "spatial_index must be an integer")
-    _check_mode(value, space)
-    return value
-
-
-def _as_pair(value, space: ModeSpace) -> tuple[int, int]:
-    _require(
-        isinstance(value, list) and len(value) == 2 and all(_is_int(v) for v in value),
-        "spatial_pair must be a two-element integer array",
-    )
-    pair = (value[0], value[1])
-    _check_pair(pair, space)
-    return pair
-
-
-def _numbers(value, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """Float array of nested JSON numbers of exactly ``shape``.
-
-    A ragged array or one of the wrong depth has another object-array shape;
-    an integer too large for a float counts as non-finite.
+    A ragged array or one of the wrong depth gives another object-array
+    shape, or list leaves; an integer too large for a float is non-finite.
     """
-    items = np.array(value, dtype=object)
-    _require(items.shape == shape, f"{what} must be a nested array of shape {list(shape)}")
-    _require(set(map(type, items.flat)) <= _NUMBER_TYPES, f"{what} contains non-numeric values")
+    items = np.array(values, dtype=object)
+    leaves = set(map(type, items.flat))
+    _require(
+        items.shape[1:] == shape and list not in leaves,
+        f"{what} must be a nested array of shape {list(shape)}",
+    )
+    _require(leaves <= _NUMBER_TYPES, f"{what} contains non-numeric values")
     try:
         out = items.astype(float)
     except OverflowError:
@@ -120,36 +106,56 @@ def _numbers(value, shape: tuple[int, ...], what: str) -> np.ndarray:
     return out
 
 
-def _obj_to_element(obj, space: ModeSpace):
-    _require(isinstance(obj, dict), "elements must be objects")
-    kind = obj.get("kind")
+def _modes(values: list, space: ModeSpace) -> list[int]:
+    _require(set(map(type, values)) <= {int}, "spatial_index must be an integer")
+    if values and not 1 <= min(values) <= max(values) <= space.n_s:
+        for k in values:  # raises on the first index out of range
+            _check_mode(k, space)
+    return values
+
+
+def _pairs(values: list, space: ModeSpace) -> list[tuple[int, int]]:
+    items = np.array(values, dtype=object)
+    _require(
+        items.shape[1:] == (2,) and set(map(type, items.flat)) <= {int},
+        "spatial_pair must be a two-element integer array",
+    )
+    k, l = items.T
+    bad = (l != k + 1) | (k < 1) | (k >= space.n_s)
+    if bad.any():
+        _check_pair(tuple(values[bad.argmax()]), space)
+    return list(map(tuple, values))
+
+
+def _columns(kind: str, objs: list, space: ModeSpace) -> tuple:
+    """Element class and its two constructor arguments, one column each, for one kind."""
+    def field(key, default=None):
+        return [obj.get(key, default) for obj in objs]
+
     n_p = space.n_p
     if kind == "internal":
-        mode = _as_index(obj.get("spatial_index"), space)
+        modes = _modes(field("spatial_index"), space)
         # The view keeps every bit of each [re, im] pair, the sign of a zero included.
-        matrix = _numbers(obj.get("matrix"), (n_p, n_p, 2), "matrix").view(complex)[..., 0]
-        return InternalOp(mode, matrix)
+        matrices = _numbers(field("matrix"), (n_p, n_p, 2), "matrix").view(complex)[..., 0]
+        return InternalOp, modes, matrices
     if kind == "beamsplitter":
-        pair = _as_pair(obj.get("spatial_pair"), space)
-        conjugate = obj.get("conjugate", False)
-        _require(isinstance(conjugate, bool), "conjugate must be a boolean")
-        return Beamsplitter(pair, conjugate)
+        pairs, conjugate = _pairs(field("spatial_pair"), space), field("conjugate", False)
+        _require(set(map(type, conjugate)) <= {bool}, "conjugate must be a boolean")
+        return Beamsplitter, pairs, conjugate
     if kind == "phase_block":
-        mode = _as_index(obj.get("spatial_index"), space)
-        return PhaseBlock(mode, _numbers(obj.get("phases"), (n_p,), "phases"))
-    if kind == "cs_block":
-        pair = _as_pair(obj.get("spatial_pair"), space)
-        return CSBlock(pair, _numbers(obj.get("thetas"), (n_p,), "thetas"))
-    raise CircuitFormatError(f"unknown element kind {kind!r}")
+        modes = _modes(field("spatial_index"), space)
+        return PhaseBlock, modes, _numbers(field("phases"), (n_p,), "phases")
+    return CSBlock, _pairs(field("spatial_pair"), space), _numbers(field("thetas"), (n_p,), "thetas")
 
 
 def deserialize(text: str) -> Circuit:
-    """Parse a circuit JSON document, validating the schema as it goes.
+    """Parse a circuit JSON document, validating the schema one element kind at a time.
 
     Raises ``CircuitFormatError`` for malformed documents,
     ``UnsupportedVersionError`` for unknown versions, ``DimensionError``
     for out-of-range mode indices and, once the whole document has parsed,
-    ``UnitarityError`` if any internal operation is not unitary.
+    ``UnitarityError`` if any internal operation is not unitary. Of several
+    faults, one of the kind met first is reported, an index before a value.
     """
     try:
         doc = json.loads(text)
@@ -163,12 +169,19 @@ def deserialize(text: str) -> Circuit:
         )
     for key in ("n_s", "n_p"):
         value = doc.get(key)
-        _require(_is_int(value) and value >= 1, f"{key} must be a positive integer")
+        _require(type(value) is int and value >= 1, f"{key} must be a positive integer")
     space = ModeSpace(doc["n_s"], doc["n_p"])
-    elements_obj = doc.get("elements")
-    _require(isinstance(elements_obj, list), "elements must be an array")
-    elements = [_obj_to_element(obj, space) for obj in elements_obj]
-    matrices = [e.matrix for e in elements if isinstance(e, InternalOp)]
-    stack = np.array(matrices, dtype=complex).reshape(-1, space.n_p, space.n_p)
-    require_unitary(stack, UNITARY_TOL, "an internal operation")
-    return Circuit(space, elements)
+    objs = doc.get("elements")
+    _require(isinstance(objs, list), "elements must be an array")
+    _require(set(map(type, objs)) <= {dict}, "elements must be objects")
+    kinds = [obj.get("kind") for obj in objs]
+    groups = {}
+    for kind, obj in zip(kinds, objs):
+        if kind not in _KINDS:  # a tuple test, so an unhashable kind is refused too
+            raise CircuitFormatError(f"unknown element kind {kind!r}")
+        groups.setdefault(kind, []).append(obj)
+    columns = {kind: _columns(kind, group, space) for kind, group in groups.items()}
+    if "internal" in columns:
+        require_unitary(columns["internal"][2], UNITARY_TOL, "an internal operation")
+    made = {kind: map(cls, first, second) for kind, (cls, first, second) in columns.items()}
+    return Circuit(space, [next(made[kind]) for kind in kinds])

@@ -183,3 +183,22 @@ class TestMatrixTextFormat:
     def test_rejects_nonfinite_entries(self):
         with pytest.raises(MatrixFormatError):
             parse_matrix("1 1\ninf+0j\n")
+
+    def test_edge_float_bytes_are_pinned(self):
+        m = np.array(
+            [
+                [complex(-0.0, -0.0), complex(5e-324, -5e-324)],
+                [complex(2.2e-308, 1e308), complex(-1e308, -0.0)],
+            ]
+        )
+        text = format_matrix(m)
+        assert text == (
+            "2 2\n-0-0j 4.9406564584124654e-324-4.9406564584124654e-324j\n"
+            "2.2000000000000002e-308+1e+308j -1e+308-0j\n"
+        )
+        assert np.array_equal(parse_matrix(text).view(np.uint64), m.view(np.uint64))
+
+    def test_haar_bytes_match_per_entry_format(self):
+        u = haar_random_unitary(64, 3)
+        rows = (" ".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in row) for row in u)
+        assert format_matrix(u) == "64 64\n" + "\n".join(rows) + "\n"

@@ -3,6 +3,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modemix import (
     Beamsplitter,
@@ -20,8 +21,10 @@ from modemix import (
     deserialize,
     haar_random_unitary,
     serialize,
+    save_matrix,
     unitarity_defect,
 )
+from modemix.cli import main
 
 
 def assert_elements_equal(left, right):
@@ -39,6 +42,46 @@ def assert_elements_equal(left, right):
         elif isinstance(a, CSBlock):
             assert a.pair == b.pair
             assert np.array_equal(np.asarray(a.thetas, float), np.asarray(b.thetas, float))
+
+
+def assert_bit_identical(left, right):
+    """Same element types, indices and flags, and every float equal bit for bit."""
+    assert len(left) == len(right)
+    for a, b in zip(left, right):
+        assert type(a) is type(b)
+        assert getattr(a, "mode", None) == getattr(b, "mode", None)
+        assert getattr(a, "pair", None) == getattr(b, "pair", None)
+        assert getattr(a, "conjugate", None) == getattr(b, "conjugate", None)
+        for field in ("matrix", "phases", "thetas"):
+            if hasattr(a, field):
+                x, y = np.ascontiguousarray(getattr(a, field)), getattr(b, field)
+                assert y.dtype == x.dtype and y.shape == x.shape
+                assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+# Floats whose text form is easy to get wrong: signed zeros, subnormals, the
+# edges of the normal range and values with no short decimal form.
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.5e-320, 2.2250738585072014e-308, 2.2e-308,
+    1e308, -1e308, 1.7976931348623157e308, 0.1, -1 / 3, np.pi, 1.0, -1.0,
+]
+
+
+@st.composite
+def random_circuits(draw):
+    """Circuits of all four element kinds in random order, with edge-float parameters."""
+    n_s, n_p = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    space = ModeSpace(n_s, n_p)
+    modes = st.integers(1, n_s)
+    floats = st.lists(st.sampled_from(EDGE_FLOATS), min_size=n_p, max_size=n_p).map(np.array)
+    kinds = [
+        st.builds(InternalOp, modes, st.integers(0, 2**31).map(lambda s: haar_random_unitary(n_p, s))),
+        st.builds(PhaseBlock, modes, floats),
+    ]
+    if n_s > 1:
+        pairs = st.integers(1, n_s - 1).map(lambda k: (k, k + 1))
+        kinds += [st.builds(Beamsplitter, pairs, st.booleans()), st.builds(CSBlock, pairs, floats)]
+    return Circuit(space, draw(st.lists(st.one_of(kinds), max_size=12)))
 
 
 class TestSerialize:
@@ -124,6 +167,15 @@ class TestRoundTrip:
         once = serialize(circuit)
         twice = serialize(deserialize(once))
         assert once == twice
+
+
+class TestRandomCircuitClosure:
+    @given(circuit=random_circuits())
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip_is_bit_exact(self, circuit):
+        restored = deserialize(serialize(circuit))
+        assert restored.space == circuit.space
+        assert_bit_identical(circuit.elements, restored.elements)
 
 
 class TestDeserializeValidation:
@@ -277,3 +329,60 @@ class TestDeserializeValidation:
         doc["elements"] = [element]
         with pytest.raises(CircuitFormatError):
             deserialize(json.dumps(doc))
+
+    @pytest.mark.parametrize("kind", [["internal"], {}, {"kind": "internal"}])
+    def test_rejects_unhashable_kind(self, kind):
+        doc = self.valid_doc()
+        doc["elements"].append({"kind": kind, "spatial_index": 1, "matrix": [[[1.0, 0.0]]]})
+        with pytest.raises(CircuitFormatError):
+            deserialize(json.dumps(doc))
+
+    def test_reads_documents_with_one_kind_missing(self):
+        space = ModeSpace(3, 2)
+        circuit = decompose(haar_random_unitary(6, 11), space)
+        no_internal = [e for e in circuit.elements if not isinstance(e, InternalOp)]
+        only_internal = [e for e in circuit.elements if isinstance(e, InternalOp)]
+        for elements in (no_internal, only_internal):
+            restored = deserialize(serialize(Circuit(space, elements)))
+            assert_bit_identical(elements, restored.elements)
+
+
+# One fault each, placed in the last element of a valid 3x2 document: the
+# exception class of deserialize and the exit code of verify.
+SINGLE_FAULTS = [
+    ({"kind": "phase_block", "spatial_index": True, "phases": [0.0, 0.0]}, CircuitFormatError, 2),
+    ({"kind": "phase_block", "spatial_index": 4, "phases": [0.0, 0.0]}, DimensionError, 4),
+    ({"kind": "internal", "spatial_index": 0, "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}, DimensionError, 4),
+    ({"kind": "beamsplitter", "spatial_pair": [1, 3], "conjugate": False}, DimensionError, 4),
+    ({"kind": "cs_block", "spatial_pair": [3, 4], "thetas": [0.0, 0.0]}, DimensionError, 4),
+    ({"kind": "beamsplitter", "spatial_pair": [1, 2], "conjugate": 1}, CircuitFormatError, 2),
+    ({"kind": "phase_block", "spatial_index": 1, "phases": [0.0, 0.0, 0.0]}, CircuitFormatError, 2),
+    ({"kind": "cs_block", "spatial_pair": [1, 2], "thetas": [0.5, float("nan")]}, CircuitFormatError, 2),
+    ({"kind": "internal", "spatial_index": 2, "matrix": [[[1, 0], [0, 0]], [[0, 0], [2, 0]]]}, UnitarityError, 3),
+]
+
+
+class TestSingleFaultInLastElement:
+    @pytest.fixture
+    def files(self, tmp_path):
+        u = haar_random_unitary(6, 5)
+        doc = json.loads(serialize(decompose(u, ModeSpace(3, 2))))
+        matrix_path = tmp_path / "u.mat"
+        save_matrix(matrix_path, u)
+        return doc, matrix_path, tmp_path / "circuit.json"
+
+    def test_valid_document_verifies(self, files):
+        doc, matrix_path, circuit_path = files
+        circuit_path.write_text(json.dumps(doc))
+        assert main(["verify", str(circuit_path), str(matrix_path)]) == 0
+
+    @pytest.mark.parametrize("fault,error,exit_code", SINGLE_FAULTS)
+    def test_fault_keeps_class_and_exit_code(self, files, fault, error, exit_code):
+        doc, matrix_path, circuit_path = files
+        doc["elements"].append(fault)
+        text = json.dumps(doc)
+        with pytest.raises(error) as caught:
+            deserialize(text)
+        assert type(caught.value) is error
+        circuit_path.write_text(text)
+        assert main(["verify", str(circuit_path), str(matrix_path)]) == exit_code
