@@ -95,7 +95,7 @@ def _check_pair(pair, space: ModeSpace) -> None:
         raise DimensionError(f"spatial pair {pair} out of range for {space.n_s} spatial modes")
 
 
-def _placement(element: CircuitElement, space: ModeSpace) -> tuple[slice, np.ndarray]:
+def _placement(element: CircuitElement, space: ModeSpace, beamsplitters: dict) -> tuple[slice, np.ndarray]:
     """Composite-basis rows an element acts on, and its block on those rows."""
     n_p = space.n_p
     if isinstance(element, InternalOp):
@@ -107,8 +107,11 @@ def _placement(element: CircuitElement, space: ModeSpace) -> tuple[slice, np.nda
         first, width, block = element.mode, n_p, np.diag(np.exp(1j * phases))
     elif isinstance(element, Beamsplitter):
         _check_pair(element.pair, space)
-        b = BEAMSPLITTER_2.conj().T if element.conjugate else BEAMSPLITTER_2
-        first, width, block = element.pair[0], 2 * n_p, np.kron(b, np.eye(n_p))
+        conjugate = bool(element.conjugate)
+        if conjugate not in beamsplitters:
+            b = BEAMSPLITTER_2.conj().T if conjugate else BEAMSPLITTER_2
+            beamsplitters[conjugate] = np.kron(b, np.eye(n_p))
+        first, width, block = element.pair[0], 2 * n_p, beamsplitters[conjugate]
     elif isinstance(element, CSBlock):
         _check_pair(element.pair, space)
         thetas = np.asarray(element.thetas, dtype=float)
@@ -127,12 +130,14 @@ def reconstruct(circuit: Circuit) -> np.ndarray:
     """Total matrix of a circuit: the product of its elements.
 
     Elements are applied in storage order, so each one multiplies from the
-    left, and each touches only the rows of the modes it acts on. An empty
-    circuit reconstructs to the identity.
+    left, and each touches only the rows of the modes it acts on. The two
+    beamsplitter blocks are built at most once per call. An empty circuit
+    reconstructs to the identity.
     """
     out = np.eye(circuit.space.dim, dtype=complex)
+    beamsplitters = {}  # conjugate flag -> kron(B, 1_{n_p}), built on first use
     for element in circuit.elements:
-        rows, block = _placement(element, circuit.space)
+        rows, block = _placement(element, circuit.space, beamsplitters)
         out[rows] = block @ out[rows]
     return out
 

@@ -2,7 +2,8 @@
 
 Machine-readable output (key=value lines, JSON) goes to stdout;
 diagnostics go to stderr. Exit codes: 0 success, 1 verification failure,
-2 parse failure, 3 non-unitary input, 4 dimension or argument error.
+2 parse failure, 3 non-unitary input, 4 dimension or argument error
+(including a dimension too large to allocate).
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ _EXIT_CODES = {
     CircuitFormatError: EXIT_PARSE,
     UnitarityError: EXIT_NOT_UNITARY,
     DimensionError: EXIT_USAGE,
+    MemoryError: EXIT_USAGE,
     OSError: EXIT_PARSE,
     UnicodeDecodeError: EXIT_PARSE,
 }

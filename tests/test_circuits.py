@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from modemix import (
     ModeSpace,
     PhaseBlock,
     cs_matrix,
+    decompose,
+    decompose_stage1,
     embed,
     haar_random_unitary,
     reconstruct,
@@ -160,3 +164,108 @@ class TestReconstruct:
         for element in elements:
             product = embed(element, space) @ product
         assert max_abs(reconstruct(Circuit(space, elements)), product) <= 1e-13
+
+    # One fault appended after a valid 3x2 circuit, which already holds
+    # beamsplitters of both flags: each fault keeps its class and message.
+    FAULTS = [
+        (InternalOp(4, np.eye(2)), DimensionError, "spatial index 4 out of range 1..3"),
+        (
+            Beamsplitter((1, 3)),
+            DimensionError,
+            "spatial pair (1, 3) is not adjacent; only (k, k+1) is allowed",
+        ),
+        (Beamsplitter((3, 4)), DimensionError, "spatial pair (3, 4) out of range for 3 spatial modes"),
+        (InternalOp(1, np.eye(3)), DimensionError, "InternalOp needs a 2x2 block, got shape (3, 3)"),
+        (PhaseBlock(2, np.array([0.1])), DimensionError, "PhaseBlock needs a 2x2 block, got shape (1, 1)"),
+        (
+            CSBlock((1, 2), np.array([0.1, 0.2, 0.3])),
+            DimensionError,
+            "CSBlock needs a 4x4 block, got shape (6, 6)",
+        ),
+        ("mirror", TypeError, "unknown circuit element type: str"),
+    ]
+
+    @pytest.mark.parametrize("fault,kind,message", FAULTS)
+    def test_fault_in_last_element(self, fault, kind, message):
+        space = ModeSpace(3, 2)
+        circuit = decompose(haar_random_unitary(6, 1), space)
+        assert {e.conjugate for e in circuit.elements if isinstance(e, Beamsplitter)} == {False, True}
+        with pytest.raises(kind, match=f"^{re.escape(message)}$"):
+            reconstruct(Circuit(space, circuit.elements + [fault]))
+
+    def test_writing_into_an_embedded_beamsplitter_changes_no_later_call(self):
+        space = ModeSpace(3, 2)
+        for conjugate in (False, True):
+            element = Beamsplitter((1, 2), conjugate=conjugate)
+            first = embed(element, space)
+            expected = first.copy()
+            first[:] = 7.0
+            assert np.array_equal(embed(element, space), expected)
+            circuit = Circuit(space, [element, Beamsplitter((2, 3), conjugate=conjugate)])
+            before = reconstruct(circuit)
+            before[:] = 7.0
+            assert np.array_equal(reconstruct(circuit), kron_oracle(circuit))
+
+    def test_alternating_spaces_give_the_same_bits(self):
+        # the beamsplitter block depends on n_p, so a block kept from one
+        # call must never reach a call on another mode space
+        first = decompose(haar_random_unitary(6, 4), ModeSpace(3, 2))
+        other = decompose(haar_random_unitary(6, 4), ModeSpace(2, 3))
+        runs = [reconstruct(c) for c in (first, other, first, other, first)]
+        assert_same_bits(runs[0], runs[2])
+        assert_same_bits(runs[0], runs[4])
+        assert_same_bits(runs[1], runs[3])
+        assert_same_bits(runs[0], kron_oracle(first))
+        assert_same_bits(runs[1], kron_oracle(other))
+
+
+def kron_oracle(circuit):
+    """The product of a circuit's elements, with np.kron called for every beamsplitter."""
+    n_p = circuit.space.n_p
+    out = np.eye(circuit.space.dim, dtype=complex)
+    for element in circuit.elements:
+        if isinstance(element, Beamsplitter):
+            b = BEAMSPLITTER_2.conj().T if element.conjugate else BEAMSPLITTER_2
+            first, block = element.pair[0], np.kron(b, np.eye(n_p))
+        elif isinstance(element, CSBlock):
+            thetas = np.asarray(element.thetas, dtype=float)
+            first, block = element.pair[0], cs_matrix(thetas, 2 * thetas.size)
+        elif isinstance(element, PhaseBlock):
+            phases = np.asarray(element.phases, dtype=float)
+            first, block = element.mode, np.diag(np.exp(1j * phases))
+        else:
+            first, block = element.mode, np.asarray(element.matrix, dtype=complex)
+        rows = slice((first - 1) * n_p, (first - 1) * n_p + block.shape[0])
+        out[rows] = block @ out[rows]
+    return out
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestReconstructBits:
+    """reconstruct equals the per-element np.kron product bit for bit."""
+
+    @pytest.mark.parametrize("n_s,n_p", [(1, 4), (3, 2), (5, 3), (16, 1)])
+    @pytest.mark.parametrize("compile_", [decompose, decompose_stage1])
+    def test_compiled_circuits(self, n_s, n_p, compile_):
+        space = ModeSpace(n_s, n_p)
+        circuit = compile_(haar_random_unitary(space.dim, n_s + n_p), space)
+        assert_same_bits(reconstruct(circuit), kron_oracle(circuit))
+
+    @pytest.mark.parametrize("n_p", [1, 2, 3])
+    def test_conjugate_flags_read_by_truth(self, n_p):
+        space = ModeSpace(4, n_p)
+        rng = np.random.default_rng(n_p)
+        flags = [1, 0, np.True_, np.False_, True, False]
+        pairs = [(k, k + 1) for k in [1, 2, 3, 2, 1, 3] * 3]
+        elements = [Beamsplitter(pair, conjugate=flags[i % 6]) for i, pair in enumerate(pairs)]
+        elements.insert(5, PhaseBlock(2, rng.uniform(-np.pi, np.pi, n_p)))
+        elements.insert(9, InternalOp(3, haar_random_unitary(n_p, n_p)))
+        circuit = Circuit(space, elements)
+        assert_same_bits(reconstruct(circuit), kron_oracle(circuit))
+        for flag in flags:
+            element = Beamsplitter((2, 3), conjugate=flag)
+            assert_same_bits(embed(element, space), kron_oracle(Circuit(space, [element])))

@@ -44,6 +44,14 @@ class TestRandom:
     def test_rejects_negative_seed(self, tmp_path):
         assert run(["random", tmp_path / "x.mat", "--dim", 4, "--seed", -1]) == 4
 
+    def test_dimension_too_large_to_allocate_exits_4(self, tmp_path, capsys):
+        # 10^8 x 10^8 complex entries exceed any address space, so the
+        # allocation fails at once instead of touching memory.
+        path = tmp_path / "x.mat"
+        assert run(["random", path, "--dim", 10**8, "--seed", 0]) == 4
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not path.exists()
+
 
 class TestDecompose:
     def test_identity_4x4(self, tmp_path, capsys):

@@ -11,19 +11,24 @@ from modemix import (
     InternalOp,
     ModeSpace,
     PhaseBlock,
+    UNITARY_TOL,
     UnitarityError,
+    cost_report,
     cs_matrix,
     decompose,
     decompose_stage1,
+    deserialize,
     embed,
     expand_cs_block,
     haar_random_unitary,
     reconstruct,
+    serialize,
     unitarity_defect,
 )
 
-from conftest import block_diag_unitary, max_abs
+from conftest import block_diag_unitary, cs_conjugated, max_abs
 from paper_cascade import cascade_stage1
+from test_serialization import assert_bit_identical
 
 
 def count_kinds(circuit):
@@ -282,3 +287,65 @@ class TestAgainstPaperCascade:
                 assert a.mode == b.mode and np.array_equal(a.matrix, b.matrix)
             else:
                 assert a.pair == b.pair and np.array_equal(a.thetas, b.thetas)
+
+
+# Mixing angles cluster at the CSD's degenerate points, with gaps down to 1e-12.
+ANGLE_CENTRES = (0.0, np.pi / 4, np.pi / 2)
+ANGLE_OFFSETS = (0.0, 1e-12, -1e-12, 1e-9, -1e-6, 1e-3)
+STRUCTURED_KINDS = ("phased permutation", "kronecker", "block diagonal", "cs conjugated", "near identity")
+
+
+@st.composite
+def structured_unitaries(draw):
+    """A mode space and a unitary on it from one of the structured families.
+
+    A 1x1 input has no block split, so its block-diagonal and CS-conjugated
+    draws fall back to a phase.
+    """
+    space = ModeSpace(draw(st.integers(1, 4)), draw(st.integers(1, 3)))
+    dim = space.dim
+    kind = draw(st.sampled_from(STRUCTURED_KINDS))
+    seed = draw(st.integers(0, 2**31))
+    rng = np.random.default_rng(seed)
+    if kind == "kronecker":
+        outer = draw(st.sampled_from([d for d in range(1, dim + 1) if dim % d == 0]))
+        u = np.kron(haar_random_unitary(outer, seed), haar_random_unitary(dim // outer, seed + 1))
+    elif kind == "block diagonal" and dim > 1:
+        split = draw(st.integers(1, dim - 1))
+        u = block_diag_unitary(haar_random_unitary(split, seed), haar_random_unitary(dim - split, seed + 1))
+    elif kind == "cs conjugated" and dim > 1:
+        m = draw(st.integers(1, dim // 2))
+        angles = st.tuples(st.sampled_from(ANGLE_CENTRES), st.sampled_from(ANGLE_OFFSETS))
+        thetas = [centre + offset for centre, offset in draw(st.lists(angles, min_size=m, max_size=m))]
+        u = cs_conjugated(thetas, m, dim - m, seed)
+    elif kind == "near identity":
+        h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        w, v = np.linalg.eigh(h + h.conj().T)
+        scale = 10.0 ** -draw(st.integers(3, 12))
+        u = (v * np.exp(1j * scale * w)) @ v.conj().T
+    else:
+        phases = np.exp(1j * rng.uniform(-np.pi, np.pi, dim))
+        u = np.eye(dim)[rng.permutation(dim)] * phases
+    return space, u.astype(complex)
+
+
+class TestStructuredInputProperties:
+    @given(case=structured_unitaries())
+    @settings(max_examples=150, deadline=None)
+    def test_compiles_counts_and_files_round_trip(self, case):
+        space, u = case
+        try:
+            circuit = decompose(u, space, tol=UNITARY_TOL)
+        except UnitarityError:
+            # refusing is right only for an input outside the tolerance
+            assert unitarity_defect(u) > UNITARY_TOL
+            return
+        assert max_abs(reconstruct(circuit), u) <= UNITARY_TOL
+        counts, report = count_kinds(circuit), cost_report(space)
+        assert counts[Beamsplitter] == report.beamsplitters
+        assert counts[InternalOp] == report.internal_arbitrary
+        assert counts[PhaseBlock] == report.internal_phase_blocks
+        assert counts[CSBlock] == 0
+        restored = deserialize(serialize(circuit))
+        assert restored.space == space
+        assert_bit_identical(circuit.elements, restored.elements)
