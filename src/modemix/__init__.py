@@ -9,7 +9,6 @@ circuit reproduces the input matrix to numerical precision.
 """
 
 from .circuits import (
-    BEAMSPLITTER_2,
     Beamsplitter,
     Circuit,
     CircuitElement,
@@ -37,15 +36,13 @@ from .linalg import (
     load_matrix,
     parse_matrix,
     save_matrix,
-    svd,
     unitarity_defect,
 )
-from .serialization import FORMAT_VERSION, deserialize, serialize
+from .serialization import deserialize, serialize
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BEAMSPLITTER_2",
     "Beamsplitter",
     "Circuit",
     "CircuitElement",
@@ -54,7 +51,6 @@ __all__ = [
     "CSBlock",
     "CSDResult",
     "DimensionError",
-    "FORMAT_VERSION",
     "InternalOp",
     "MatrixFormatError",
     "ModeSpace",
@@ -79,6 +75,5 @@ __all__ = [
     "reconstruct",
     "save_matrix",
     "serialize",
-    "svd",
     "unitarity_defect",
 ]

@@ -1,9 +1,10 @@
 """Command-line front end for scripted use.
 
 Machine-readable output (key=value lines, JSON) goes to stdout;
-diagnostics go to stderr. Exit codes: 0 success, 1 verification failure,
-2 parse failure, 3 non-unitary input, 4 dimension or argument error
-(including a dimension too large to allocate).
+diagnostics go to stderr. Exit codes: 0 success, 1 reconstruction error
+above ``--tol`` (``decompose`` and ``verify``), 2 parse failure,
+3 non-unitary input, 4 dimension or argument error (including a
+dimension too large to allocate).
 """
 
 from __future__ import annotations
@@ -37,13 +38,8 @@ EXIT_NOT_UNITARY = 3
 EXIT_USAGE = 4
 
 
-class _UsageError(Exception):
-    pass
-
-
 # The exit code of each error class that main reports, checked in order.
 _EXIT_CODES = {
-    _UsageError: EXIT_USAGE,
     MatrixFormatError: EXIT_PARSE,
     CircuitFormatError: EXIT_PARSE,
     UnitarityError: EXIT_NOT_UNITARY,
@@ -58,7 +54,7 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad arguments; route usage problems
     # through the dimension/argument exit code instead.
     def error(self, message):
-        raise _UsageError(message)
+        raise DimensionError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,7 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("output", help="circuit JSON file to write")
     p.add_argument("--ns", type=int, required=True, help="number of spatial modes")
     p.add_argument("--np", type=int, required=True, help="number of internal modes")
-    p.add_argument("--tol", type=float, default=1e-9, help="unitarity tolerance (default 1e-9)")
+    p.add_argument(
+        "--tol", type=float, default=1e-9, help="unitarity and reconstruction tolerance (default 1e-9)"
+    )
     p.add_argument(
         "--stage1-only",
         action="store_true",
@@ -127,31 +125,30 @@ def _counts_line(circuit) -> str:
 def _cmd_decompose(args) -> int:
     _tolerance_ok(args.tol)
     u = load_matrix(args.input)
-    space = ModeSpace(args.ns, args.np)
-    if args.stage1_only:
-        circuit = decompose_stage1(u, space, tol=args.tol)
-    else:
-        circuit = decompose(u, space, tol=args.tol)
+    compiler = decompose_stage1 if args.stage1_only else decompose
+    circuit = compiler(u, ModeSpace(args.ns, args.np), tol=args.tol)
     with open(args.output, "w", encoding="ascii") as handle:
         handle.write(serialize(circuit))
-    error = float(np.max(np.abs(reconstruct(circuit) - u)))
     print(_counts_line(circuit))
-    print(f"reconstruction_error={error:.6e}")
-    return EXIT_OK
+    return _verdict(circuit, u, args.tol)
 
 
 def _cmd_verify(args) -> int:
     _tolerance_ok(args.tol)
     with open(args.circuit, "r", encoding="ascii") as handle:
         circuit = deserialize(handle.read())
-    u = load_matrix(args.matrix)
+    return _verdict(circuit, load_matrix(args.matrix), args.tol)
+
+
+def _verdict(circuit, u, tol: float) -> int:
+    """Print max|reconstruct(circuit) - u| and pass it if it is within ``tol``."""
     if u.shape != (circuit.space.dim, circuit.space.dim):
         raise DimensionError(
             f"matrix dimension {u.shape[0]} does not match circuit dimension {circuit.space.dim}"
         )
     error = float(np.max(np.abs(reconstruct(circuit) - u)))
     print(f"reconstruction_error={error:.6e}")
-    return EXIT_OK if error <= args.tol else EXIT_VERIFY_FAILED
+    return EXIT_OK if error <= tol else EXIT_VERIFY_FAILED
 
 
 def _cmd_cost(args) -> int:
@@ -168,7 +165,7 @@ def _cmd_cost(args) -> int:
 
 def _cmd_random(args) -> int:
     if args.seed < 0:
-        raise _UsageError(f"seed must be non-negative, got {args.seed}")
+        raise DimensionError(f"seed must be non-negative, got {args.seed}")
     save_matrix(args.output, haar_random_unitary(args.dim, args.seed))
     return EXIT_OK
 
@@ -177,10 +174,8 @@ def _cmd_csd(args) -> int:
     u = load_matrix(args.input)
     result = csd(u, args.m)
     prefix = args.output_prefix
-    save_matrix(f"{prefix}.left_top.mat", result.left_top)
-    save_matrix(f"{prefix}.left_bottom.mat", result.left_bottom)
-    save_matrix(f"{prefix}.right_top.mat", result.right_top)
-    save_matrix(f"{prefix}.right_bottom.mat", result.right_bottom)
+    for name in ("left_top", "left_bottom", "right_top", "right_bottom"):
+        save_matrix(f"{prefix}.{name}.mat", getattr(result, name))
     with open(f"{prefix}.thetas.txt", "w", encoding="ascii") as handle:
         for theta in result.thetas:
             handle.write(f"{theta:.17g}\n")

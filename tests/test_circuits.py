@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from modemix import (
-    BEAMSPLITTER_2,
     Beamsplitter,
     Circuit,
     CSBlock,
@@ -19,6 +18,7 @@ from modemix import (
     haar_random_unitary,
     reconstruct,
 )
+from modemix.circuits import BEAMSPLITTER_2
 
 from conftest import max_abs
 

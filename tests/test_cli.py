@@ -83,10 +83,25 @@ class TestDecompose:
         doc = json.loads(out.read_text())
         assert sum(e["kind"] == "cs_block" for e in doc["elements"]) == 6
 
+    def test_error_above_tol_exits_1(self, tmp_path, capsys):
+        from modemix import save_matrix
+
+        # An exact permutation passes the input check at any tolerance, and
+        # its circuit rebuilds it a few 1e-16 off, which 1e-300 does not admit.
+        inp = tmp_path / "perm.mat"
+        save_matrix(inp, np.eye(8)[np.random.default_rng(3).permutation(8)])
+        out = tmp_path / "perm.json"
+        assert run(["decompose", inp, out, "--ns", 4, "--np", 2, "--tol", "1e-300"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "beamsplitters=12 internal=16 phase_blocks=12"
+        assert float(lines[1].split("=", 1)[1]) > 0
+        assert run(["verify", out, inp, "--tol", "1e-300"]) == 1
+
     def test_parse_failure_exits_2(self, tmp_path):
         bad = tmp_path / "bad.mat"
-        bad.write_text("this is not a matrix\n")
-        assert run(["decompose", bad, tmp_path / "o.json", "--ns", 2, "--np", 2]) == 2
+        for text in ("this is not a matrix\n", "0 3\n"):
+            bad.write_text(text)
+            assert run(["decompose", bad, tmp_path / "o.json", "--ns", 2, "--np", 2]) == 2
 
     def test_missing_file_exits_2(self, tmp_path):
         missing = tmp_path / "nope.mat"

@@ -215,6 +215,14 @@ class TestCsd:
             csd(bad, 2)
         assert excinfo.value.deviation == pytest.approx(1.001**2 - 1, rel=1e-6)
 
+    def test_unitarity_gate_is_unitary_tol(self):
+        # csd takes no tolerance: a defect of about 2e-11 passes the
+        # UNITARY_TOL = 1e-10 gate and one of about 2e-10 does not.
+        csd(np.eye(4) * (1 + 1e-11), 2)
+        with pytest.raises(UnitarityError) as excinfo:
+            csd(np.eye(4) * (1 + 1e-10), 2)
+        assert excinfo.value.deviation == pytest.approx((1 + 1e-10) ** 2 - 1, rel=1e-6)
+
     def test_m_larger_than_n_rejected(self):
         with pytest.raises(DimensionError):
             csd(haar_random_unitary(6, 0), 4)

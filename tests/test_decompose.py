@@ -223,12 +223,40 @@ class TestDecompose:
         circuit = decompose(u, ModeSpace(4, 2))
         assert max_abs(reconstruct(circuit), u) <= 1e-9
 
+    def test_precision_envelope(self):
+        # Products of Householder and Givens factors are backward stable,
+        # with error linear in the number of factors that touch an entry
+        # (Higham, Accuracy and Stability of Numerical Algorithms, ch. 19),
+        # so the error is held to c·N·ε. The worst input measured here is at
+        # about 1.1·N·ε; c = 8 leaves room for BLAS differences, while a
+        # change that loses even three digits fails.
+        eps = np.finfo(float).eps
+        above = []
+        for n_s, n_p, kind, u in envelope_inputs():
+            error = max_abs(reconstruct(decompose(u, ModeSpace(n_s, n_p))), u)
+            if error > 8 * n_s * n_p * eps:
+                above.append(f"{kind} {n_s}x{n_p}: {error / (n_s * n_p * eps):.2f}·N·ε")
+        assert not above
+
     @given(n_s=st.integers(1, 4), n_p=st.integers(1, 3), seed=st.integers(0, 2**31))
     @settings(max_examples=30, deadline=None)
     def test_round_trip_property(self, n_s, n_p, seed):
         space = ModeSpace(n_s, n_p)
         u = haar_random_unitary(space.dim, seed)
         assert max_abs(reconstruct(decompose(u, space)), u) <= 1e-9
+
+
+def envelope_inputs():
+    """Haar, permutation and Kronecker-product inputs on a grid of shapes, plus two wide ones."""
+    for n_s in (1, 2, 3, 5, 8):
+        for n_p in (1, 2, 3, 4):
+            dim = n_s * n_p
+            yield n_s, n_p, "haar", haar_random_unitary(dim, dim)
+            perm = np.random.default_rng(dim).permutation(dim)
+            yield n_s, n_p, "permutation", np.eye(dim, dtype=complex)[perm]
+            yield n_s, n_p, "kron", np.kron(haar_random_unitary(n_s, dim), haar_random_unitary(n_p, dim + 1))
+    yield 64, 1, "haar", haar_random_unitary(64, 64)
+    yield 2, 128, "haar", haar_random_unitary(256, 256)
 
 
 def structured_inputs(n_s, n_p, seed):

@@ -7,9 +7,9 @@ from modemix import (
     format_matrix,
     haar_random_unitary,
     parse_matrix,
-    svd,
     unitarity_defect,
 )
+from modemix.linalg import svd
 
 from conftest import max_abs
 
@@ -160,6 +160,10 @@ class TestMatrixTextFormat:
         assert text.splitlines()[0] == "2 2"
         assert "1+0j" in text.splitlines()[1]
 
+    def test_format_rejects_stack(self):
+        with pytest.raises(DimensionError):
+            format_matrix(np.zeros((2, 2, 2)))
+
     def test_parses_documented_example_entry(self):
         m = parse_matrix("1 1\n0.5-0.25j\n")
         assert m[0, 0] == 0.5 - 0.25j
@@ -169,8 +173,9 @@ class TestMatrixTextFormat:
             parse_matrix("")
 
     def test_rejects_bad_header(self):
-        with pytest.raises(MatrixFormatError):
-            parse_matrix("2\n1+0j 0+0j\n")
+        for text in ("2\n1+0j 0+0j\n", "2 x\n1+0j 0+0j\n", "0 3\n"):
+            with pytest.raises(MatrixFormatError):
+                parse_matrix(text)
 
     def test_rejects_wrong_entry_count(self):
         with pytest.raises(MatrixFormatError):
