@@ -4,7 +4,10 @@ Machine-readable output (key=value lines, JSON) goes to stdout;
 diagnostics go to stderr. Exit codes: 0 success, 1 reconstruction error
 above ``--tol`` (``decompose`` and ``verify``), 2 parse failure,
 3 non-unitary input, 4 dimension or argument error (including a
-dimension too large to allocate).
+dimension too large to allocate), 141 stdout closed by its reader,
+printing nothing. ``--tol`` bounds only the reconstruction error; the
+matrix that ``decompose`` or ``csd`` factors passes the library's one
+unitarity gate, at 1e-10.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from collections import Counter
 
@@ -36,6 +40,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_PARSE = 2
 EXIT_NOT_UNITARY = 3
 EXIT_USAGE = 4
+_EXIT_CLOSED_STDOUT = 128 + 13  # as a shell reports a writer killed by SIGPIPE
 
 
 # The exit code of each error class that main reports, checked in order.
@@ -70,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ns", type=int, required=True, help="number of spatial modes")
     p.add_argument("--np", type=int, required=True, help="number of internal modes")
     p.add_argument(
-        "--tol", type=float, default=1e-9, help="unitarity and reconstruction tolerance (default 1e-9)"
+        "--tol", type=float, default=1e-9, help="reconstruction tolerance only (default 1e-9)"
     )
     p.add_argument(
         "--stage1-only",
@@ -126,7 +131,7 @@ def _cmd_decompose(args) -> int:
     _tolerance_ok(args.tol)
     u = load_matrix(args.input)
     compiler = decompose_stage1 if args.stage1_only else decompose
-    circuit = compiler(u, ModeSpace(args.ns, args.np), tol=args.tol)
+    circuit = compiler(u, ModeSpace(args.ns, args.np))
     with open(args.output, "w", encoding="ascii") as handle:
         handle.write(serialize(circuit))
     print(_counts_line(circuit))
@@ -187,7 +192,14 @@ def _cmd_csd(args) -> int:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout is gone, which is not a fault of ours. Point
+        # stdout at devnull so the flush at interpreter exit cannot fail too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _EXIT_CLOSED_STDOUT
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))

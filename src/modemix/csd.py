@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import UNITARY_TOL, require_unitary, svd
+from .linalg import require_unitary, svd
 
 
 @dataclass(frozen=True)
@@ -108,15 +108,15 @@ def csd(u, m: int) -> CSDResult:
     """Cosine-sine decompose a unitary matrix with top block size ``m``.
 
     Only m <= n is supported. Raises ``UnitarityError`` (carrying the
-    measured deviation) if the input is not unitary within
-    ``UNITARY_TOL`` and ``DimensionError`` for invalid block sizes.
+    measured deviation) if the input fails ``require_unitary`` and
+    ``DimensionError`` for invalid block sizes.
     """
     u = np.asarray(u, dtype=complex)
     block_partition(u, m)  # for its square and block-size checks
     n = u.shape[0] - m
     if m > n:
         raise DimensionError(f"top block m={m} exceeds bottom block n={n}; only m <= n is supported")
-    require_unitary(u, UNITARY_TOL, "input")
+    require_unitary(u, "input")
     factors = csd_stack(u[np.newaxis], m)
     return CSDResult(*(f[0] for f in factors), m, n)
 

@@ -21,10 +21,10 @@ import numpy as np
 from .circuits import Beamsplitter, Circuit, CSBlock, InternalOp, ModeSpace, PhaseBlock
 from .csd import csd_stack
 from .errors import DimensionError
-from .linalg import UNITARY_TOL, require_unitary
+from .linalg import require_unitary
 
 
-def decompose_stage1(u, space: ModeSpace, tol: float = UNITARY_TOL) -> Circuit:
+def decompose_stage1(u, space: ModeSpace) -> Circuit:
     """Factor ``u`` into internal operations and CS mixers.
 
     Column block by column block, and from the bottom row block up, one
@@ -46,7 +46,7 @@ def decompose_stage1(u, space: ModeSpace, tol: float = UNITARY_TOL) -> Circuit:
             f"matrix shape {u.shape} does not match mode space "
             f"{space.n_s}x{space.n_p} (dimension {space.dim})"
         )
-    require_unitary(u, tol, "input")
+    require_unitary(u, "input")
     n_s, n_p = space.n_s, space.n_p
     if n_s == 1:
         return Circuit(space, [InternalOp(1, u)])
@@ -100,9 +100,9 @@ def expand_cs_block(block: CSBlock) -> list:
     ]
 
 
-def decompose(u, space: ModeSpace, tol: float = UNITARY_TOL) -> Circuit:
+def decompose(u, space: ModeSpace) -> Circuit:
     """Full compilation: stage 1 followed by expansion of every CS mixer."""
-    stage1 = decompose_stage1(u, space, tol=tol)
+    stage1 = decompose_stage1(u, space)
     elements = []
     for element in stage1.elements:
         if isinstance(element, CSBlock):

@@ -11,9 +11,10 @@ import numpy as np
 
 from .errors import DimensionError, MatrixFormatError, UnitarityError
 
-# Default tolerance for unitarity checks. End-to-end reconstructions are
-# held to 1e-9 instead, which leaves room for error growth over the
-# O(n_s^2) factor multiplications of a full decomposition.
+# The one unitarity gate, read only by ``require_unitary``: every matrix the
+# program factors or reads as an op must be unitary to within it. End-to-end
+# reconstructions are held to 1e-9 instead (CLI ``--tol``), which leaves room
+# for error growth over the O(n_s^2) factor multiplications of a decomposition.
 UNITARY_TOL = 1e-10
 
 
@@ -36,12 +37,12 @@ def unitarity_defect(m) -> float:
     return float(np.max(np.abs(m.conj().swapaxes(-1, -2) @ m - eye))) if m.size else 0.0
 
 
-def require_unitary(m, tol: float, what: str) -> None:
-    """Raise ``UnitarityError``, naming ``what``, unless max|M†M - 1| is at most ``tol``."""
+def require_unitary(m, what: str) -> None:
+    """Raise ``UnitarityError``, naming ``what``, unless max|M†M - 1| is at most ``UNITARY_TOL``."""
     defect = unitarity_defect(m)
-    if not defect <= tol:  # a NaN tolerance admits nothing
+    if not defect <= UNITARY_TOL:  # a defect that overflowed to NaN admits nothing
         raise UnitarityError(
-            f"{what} is not unitary: deviation {defect:.3e} exceeds tolerance {tol:.1e}",
+            f"{what} is not unitary: deviation {defect:.3e} exceeds tolerance {UNITARY_TOL:.1e}",
             deviation=defect,
         )
 

@@ -30,7 +30,7 @@ import numpy as np
 from .circuits import Beamsplitter, Circuit, CSBlock, InternalOp, ModeSpace, PhaseBlock
 from .circuits import _check_mode, _check_pair
 from .errors import CircuitFormatError, UnsupportedVersionError
-from .linalg import UNITARY_TOL, require_unitary
+from .linalg import require_unitary
 
 FORMAT_VERSION = "1"
 
@@ -182,6 +182,6 @@ def deserialize(text: str) -> Circuit:
         groups.setdefault(kind, []).append(obj)
     columns = {kind: _columns(kind, group, space) for kind, group in groups.items()}
     if "internal" in columns:
-        require_unitary(columns["internal"][2], UNITARY_TOL, "an internal operation")
+        require_unitary(columns["internal"][2], "an internal operation")
     made = {kind: map(cls, first, second) for kind, (cls, first, second) in columns.items()}
     return Circuit(space, [next(made[kind]) for kind in kinds])

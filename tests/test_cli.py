@@ -6,8 +6,20 @@ import sys
 import numpy as np
 import pytest
 
-from modemix import load_matrix, parse_matrix, unitarity_defect
+from modemix import (
+    ModeSpace,
+    decompose,
+    deserialize,
+    haar_random_unitary,
+    load_matrix,
+    parse_matrix,
+    save_matrix,
+    unitarity_defect,
+)
 from modemix.cli import main
+
+from conftest import block_diag_unitary
+from test_serialization import assert_bit_identical
 
 
 def run(args):
@@ -121,6 +133,37 @@ class TestDecompose:
         assert code == 3
         assert "deviation" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_s,n_p,amplitude", [(1, 4, 2e-10), (4, 2, 3e-10)])
+    def test_near_unitary_input_is_refused_at_any_tol(self, tmp_path, capsys, n_s, n_p, amplitude):
+        # Haar plus Gaussian noise, with a defect of a few 1e-10: inside a
+        # loose --tol, but its ops would carry the defect into a file that
+        # the reader refuses. The input gate does not depend on --tol.
+        dim = n_s * n_p
+        noise = np.random.default_rng(0).standard_normal((dim, dim))
+        inp, out = tmp_path / "near.mat", tmp_path / "near.json"
+        save_matrix(inp, haar_random_unitary(dim, 4) + amplitude * noise)
+        for tol in ([], ["--tol", "1e-3"]):
+            assert run(["decompose", inp, out, "--ns", n_s, "--np", n_p, *tol]) == 3
+            assert "deviation" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "n_s,n_p,u",
+        [
+            (4, 2, np.eye(8)[np.random.default_rng(5).permutation(8)] * np.exp(1j * np.arange(8))),
+            (2, 3, np.kron(haar_random_unitary(2, 6), haar_random_unitary(3, 7))),
+            (3, 2, block_diag_unitary(haar_random_unitary(2, 8), haar_random_unitary(4, 9))),
+        ],
+        ids=["phased permutation", "kronecker", "block diagonal"],
+    )
+    def test_structured_input_file_matches_library(self, tmp_path, n_s, n_p, u):
+        inp, out = tmp_path / "u.mat", tmp_path / "u.json"
+        save_matrix(inp, u)
+        assert run(["decompose", inp, out, "--ns", n_s, "--np", n_p]) == 0
+        restored = deserialize(out.read_text())
+        assert_bit_identical(decompose(u, ModeSpace(n_s, n_p)).elements, restored.elements)
+        assert run(["verify", out, inp]) == 0
+
     def test_dimension_mismatch_exits_4(self, tmp_path, haar_file):
         inp = haar_file(6, 0)
         assert run(["decompose", inp, tmp_path / "o.json", "--ns", 2, "--np", 2]) == 4
@@ -206,7 +249,9 @@ class TestVerify:
 def test_tolerance_must_be_finite_and_positive(tmp_path, command, tol):
     from modemix import save_matrix
 
-    # A non-unitary matrix, which a tolerance of nan or inf would let through.
+    # A non-unitary matrix. An infinite --tol would let verify pass it
+    # against the identity circuit; decompose refuses it at the unitarity
+    # gate whatever --tol is, but the bad tolerance is reported first.
     bad = tmp_path / "bad.mat"
     save_matrix(bad, np.diag([1.0, 2.0, 1.0, 1.0]))
     if command == "decompose":
@@ -311,3 +356,28 @@ class TestSubprocessEntry:
         )
         assert result.returncode == 0
         assert unitarity_defect(parse_matrix(out.read_text())) <= 1e-10
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_closed_stdout_exits_141_silently(self, unbuffered):
+        # The read end is closed before the child starts, so its first write
+        # to stdout meets a broken pipe, buffered (at the final flush) or not.
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "modemix", "cost", "--ns", "3", "--np", "2", "--json"],
+                env=env,
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == 141
+        assert result.stderr == ""

@@ -92,10 +92,6 @@ class TestStage1:
         decompose_stage1(haar_random_unitary(16, 0), ModeSpace(16, 1))
         assert len(calls) == 1
 
-    def test_nan_tolerance_admits_nothing(self):
-        with pytest.raises(UnitarityError):
-            decompose(np.diag([1.0, 2.0, 1.0, 1.0]), ModeSpace(2, 2), tol=float("nan"))
-
 
 class TestExpandCsBlock:
     def test_zero_angles_expand_to_identity(self):
@@ -357,13 +353,27 @@ def structured_unitaries(draw):
     return space, u.astype(complex)
 
 
+@st.composite
+def near_unitaries(draw):
+    """A structured unitary u moved to u + s·E, Gaussian E, inside the unitarity gate.
+
+    To first order the defect of u + s·E is s·max|u†E + E†u|, so
+    s = 0.9·UNITARY_TOL / max|u†E + E†u| puts it at 0.9·UNITARY_TOL.
+    """
+    space, u = draw(structured_unitaries())
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    e = rng.standard_normal(u.shape) + 1j * rng.standard_normal(u.shape)
+    first_order = u.conj().T @ e + e.conj().T @ u
+    return space, u + 0.9 * UNITARY_TOL / np.max(np.abs(first_order)) * e
+
+
 class TestStructuredInputProperties:
     @given(case=structured_unitaries())
     @settings(max_examples=150, deadline=None)
     def test_compiles_counts_and_files_round_trip(self, case):
         space, u = case
         try:
-            circuit = decompose(u, space, tol=UNITARY_TOL)
+            circuit = decompose(u, space)
         except UnitarityError:
             # refusing is right only for an input outside the tolerance
             assert unitarity_defect(u) > UNITARY_TOL
@@ -376,4 +386,18 @@ class TestStructuredInputProperties:
         assert counts[CSBlock] == 0
         restored = deserialize(serialize(circuit))
         assert restored.space == space
+        assert_bit_identical(circuit.elements, restored.elements)
+
+    @given(case=near_unitaries())
+    @settings(max_examples=100, deadline=None)
+    def test_near_unitary_inputs_compile_and_files_read_back(self, case):
+        # Every input the gate admits compiles, and the reader, which holds
+        # internal ops to the same gate, takes back the file written for it.
+        # The ops carry the input's defect, and the reconstruction may stray
+        # past it, so the end-to-end bound of 1e-9 applies.
+        space, u = case
+        assert unitarity_defect(u) <= UNITARY_TOL
+        circuit = decompose(u, space)
+        assert max_abs(reconstruct(circuit), u) <= 1e-9
+        restored = deserialize(serialize(circuit))
         assert_bit_identical(circuit.elements, restored.elements)
