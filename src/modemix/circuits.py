@@ -95,7 +95,7 @@ def _check_pair(pair, space: ModeSpace) -> None:
         raise DimensionError(f"spatial pair {pair} out of range for {space.n_s} spatial modes")
 
 
-def _placement(element: CircuitElement, space: ModeSpace, beamsplitters: dict) -> tuple[slice, np.ndarray]:
+def _placement(element: CircuitElement, space: ModeSpace, beamsplitters: tuple) -> tuple[slice, np.ndarray]:
     """Composite-basis rows an element acts on, and its block on those rows."""
     n_p = space.n_p
     if isinstance(element, InternalOp):
@@ -107,11 +107,7 @@ def _placement(element: CircuitElement, space: ModeSpace, beamsplitters: dict) -
         first, width, block = element.mode, n_p, np.diag(np.exp(1j * phases))
     elif isinstance(element, Beamsplitter):
         _check_pair(element.pair, space)
-        conjugate = bool(element.conjugate)
-        if conjugate not in beamsplitters:
-            b = BEAMSPLITTER_2.conj().T if conjugate else BEAMSPLITTER_2
-            beamsplitters[conjugate] = np.kron(b, np.eye(n_p))
-        first, width, block = element.pair[0], 2 * n_p, beamsplitters[conjugate]
+        first, width, block = element.pair[0], 2 * n_p, beamsplitters[bool(element.conjugate)]
     elif isinstance(element, CSBlock):
         _check_pair(element.pair, space)
         thetas = np.asarray(element.thetas, dtype=float)
@@ -131,11 +127,12 @@ def reconstruct(circuit: Circuit) -> np.ndarray:
 
     Elements are applied in storage order, so each one multiplies from the
     left, and each touches only the rows of the modes it acts on. The two
-    beamsplitter blocks are built at most once per call. An empty circuit
-    reconstructs to the identity.
+    beamsplitter blocks, kron(B, 1) and kron(B†, 1), are built once per
+    call. An empty circuit reconstructs to the identity.
     """
     out = np.eye(circuit.space.dim, dtype=complex)
-    beamsplitters = {}  # conjugate flag -> kron(B, 1_{n_p}), built on first use
+    eye = np.eye(circuit.space.n_p)
+    beamsplitters = (np.kron(BEAMSPLITTER_2, eye), np.kron(BEAMSPLITTER_2.conj().T, eye))
     for element in circuit.elements:
         rows, block = _placement(element, circuit.space, beamsplitters)
         out[rows] = block @ out[rows]

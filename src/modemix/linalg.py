@@ -7,6 +7,8 @@ All operations are pure functions; nothing here mutates its arguments.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionError, MatrixFormatError, UnitarityError
@@ -70,6 +72,8 @@ def haar_random_unitary(dim: int, seed: int) -> np.ndarray:
     """
     if dim < 1:
         raise DimensionError(f"dimension must be at least 1, got {dim}")
+    if dim > math.isqrt(np.iinfo(np.intp).max // 16):  # numpy's limit on an array's bytes
+        raise DimensionError(f"dimension {dim} is too large for a {dim}x{dim} complex array")
     rng = np.random.default_rng(seed)
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
     q, r = np.linalg.qr(z)
@@ -94,6 +98,8 @@ def format_matrix(m) -> str:
     m = _as_stack(m)
     if m.ndim != 2:
         raise DimensionError(f"expected a 2-D matrix, got {m.ndim} dimensions")
+    if not m.size:  # the text format has no empty matrix
+        raise DimensionError(f"expected a non-empty matrix, got shape {m.shape}")
     row_format = " ".join(["%.17g%+.17gj"] * m.shape[1])
     rows = (row_format % tuple(row.tolist()) for row in np.ascontiguousarray(m).view(float))
     return f"{m.shape[0]} {m.shape[1]}\n" + "\n".join(rows) + "\n"
@@ -130,8 +136,9 @@ def parse_matrix(text: str) -> np.ndarray:
 
 
 def save_matrix(path, m) -> None:
+    text = format_matrix(m)  # before the file is opened, so a refused matrix writes nothing
     with open(path, "w", encoding="ascii") as handle:
-        handle.write(format_matrix(m))
+        handle.write(text)
 
 
 def load_matrix(path) -> np.ndarray:

@@ -12,13 +12,13 @@ tagged by ``kind``:
 The writer puts the header on the first line and each element on a line
 of its own. numpy turns every value into a Python float, which JSON writes
 with ``repr`` precision, so a serialize/deserialize round trip is
-bit-exact. Complex matrix entries are [re, im] pairs, the memory layout of
-one complex128.
+bit-exact; a value that is not finite raises ``ValueError``. Complex matrix
+entries are [re, im] pairs, the memory layout of one complex128.
 
-The reader checks each field of each element kind as one stack (one rule
-for all numeric arrays: fixed shape, JSON numbers only, all finite) and the
-internal matrices of a document for unitarity in one call. Unknown versions
-are rejected outright; silent misreads of a circuit are worse than failures.
+The reader checks the numeric fields of each element kind as one stack
+(fixed shape, JSON numbers only, all finite), each index and pair with the
+walker's own checks and all internal matrices for unitarity in one call. It
+rejects unknown versions; silent misreads are worse than failures.
 """
 
 from __future__ import annotations
@@ -33,6 +33,9 @@ from .errors import CircuitFormatError, UnsupportedVersionError
 from .linalg import require_unitary
 
 FORMAT_VERSION = "1"
+# NaN and infinity are not JSON (RFC 8259), so the writer raises ValueError
+# on them. One encoder serves every call; json.dumps would build one per call.
+_ENCODER = json.JSONEncoder(allow_nan=False)
 
 
 def _element_to_obj(element) -> dict:
@@ -66,10 +69,9 @@ def _element_to_obj(element) -> dict:
 
 def serialize(circuit: Circuit) -> str:
     """Render a circuit as a JSON document: the header line, then one element per line."""
-    header = json.dumps(
-        {"format_version": FORMAT_VERSION, "n_s": circuit.space.n_s, "n_p": circuit.space.n_p}
-    )
-    elements = ",\n".join(json.dumps(_element_to_obj(e)) for e in circuit.elements)
+    space = circuit.space
+    header = _ENCODER.encode({"format_version": FORMAT_VERSION, "n_s": space.n_s, "n_p": space.n_p})
+    elements = ",\n".join(_ENCODER.encode(_element_to_obj(e)) for e in circuit.elements)
     return f'{header[:-1]}, "elements": [\n{elements}]}}\n'
 
 
@@ -108,23 +110,20 @@ def _numbers(values: list, shape: tuple[int, ...], what: str) -> np.ndarray:
 
 def _modes(values: list, space: ModeSpace) -> list[int]:
     _require(set(map(type, values)) <= {int}, "spatial_index must be an integer")
-    if values and not 1 <= min(values) <= max(values) <= space.n_s:
-        for k in values:  # raises on the first index out of range
-            _check_mode(k, space)
+    for k in values:
+        _check_mode(k, space)
     return values
 
 
 def _pairs(values: list, space: ModeSpace) -> list[tuple[int, int]]:
-    items = np.array(values, dtype=object)
     _require(
-        items.shape[1:] == (2,) and set(map(type, items.flat)) <= {int},
+        all(type(p) is list and len(p) == 2 and type(p[0]) is type(p[1]) is int for p in values),
         "spatial_pair must be a two-element integer array",
     )
-    k, l = items.T
-    bad = (l != k + 1) | (k < 1) | (k >= space.n_s)
-    if bad.any():
-        _check_pair(tuple(values[bad.argmax()]), space)
-    return list(map(tuple, values))
+    pairs = list(map(tuple, values))
+    for pair in pairs:
+        _check_pair(pair, space)
+    return pairs
 
 
 def _columns(kind: str, objs: list, space: ModeSpace) -> tuple:

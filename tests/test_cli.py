@@ -58,11 +58,13 @@ class TestRandom:
 
     def test_dimension_too_large_to_allocate_exits_4(self, tmp_path, capsys):
         # 10^8 x 10^8 complex entries exceed any address space, so the
-        # allocation fails at once instead of touching memory.
+        # allocation fails at once instead of touching memory. At 10^10 the
+        # byte count exceeds what numpy can index, so no such array can exist.
         path = tmp_path / "x.mat"
-        assert run(["random", path, "--dim", 10**8, "--seed", 0]) == 4
-        assert capsys.readouterr().err.startswith("error: ")
-        assert not path.exists()
+        for dim in (10**8, 10**10):
+            assert run(["random", path, "--dim", dim, "--seed", 0]) == 4
+            assert capsys.readouterr().err.startswith("error: ")
+            assert not path.exists()
 
 
 class TestDecompose:

@@ -7,6 +7,7 @@ from modemix import (
     format_matrix,
     haar_random_unitary,
     parse_matrix,
+    save_matrix,
     unitarity_defect,
 )
 from modemix.linalg import svd
@@ -160,9 +161,16 @@ class TestMatrixTextFormat:
         assert text.splitlines()[0] == "2 2"
         assert "1+0j" in text.splitlines()[1]
 
-    def test_format_rejects_stack(self):
-        with pytest.raises(DimensionError):
-            format_matrix(np.zeros((2, 2, 2)))
+    def test_format_rejects_stack(self, tmp_path):
+        # An empty matrix is refused too: "0 3" is a header parse_matrix
+        # refuses. save_matrix then leaves no file, not even an empty one.
+        path = tmp_path / "m.mat"
+        for m in (np.zeros((2, 2, 2)), np.zeros((0, 3)), np.zeros((3, 0))):
+            with pytest.raises(DimensionError):
+                format_matrix(m)
+            with pytest.raises(DimensionError):
+                save_matrix(path, m)
+            assert not path.exists()
 
     def test_parses_documented_example_entry(self):
         m = parse_matrix("1 1\n0.5-0.25j\n")

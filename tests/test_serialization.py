@@ -20,6 +20,7 @@ from modemix import (
     decompose_stage1,
     deserialize,
     haar_random_unitary,
+    reconstruct,
     serialize,
     save_matrix,
     unitarity_defect,
@@ -306,6 +307,9 @@ class TestDeserializeValidation:
         doc["elements"] = [{"kind": "phase_block", "spatial_index": 1, "phases": [float("nan")]}]
         with pytest.raises(CircuitFormatError):
             deserialize(json.dumps(doc))
+        # The writer refuses what the reader would refuse, rather than write a NaN token.
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            serialize(Circuit(ModeSpace(2, 1), [PhaseBlock(1, np.array([float("nan")]))]))
 
     @pytest.mark.parametrize(
         "element",
@@ -386,3 +390,40 @@ class TestSingleFaultInLastElement:
         assert type(caught.value) is error
         circuit_path.write_text(text)
         assert main(["verify", str(circuit_path), str(matrix_path)]) == exit_code
+
+
+class TestSeveralOffenders:
+    def test_reader_names_the_first_offender_as_the_walker_does(self):
+        space = ModeSpace(3, 2)
+        doc = json.loads(serialize(decompose(haar_random_unitary(6, 5), space)))
+        elements = doc["elements"]
+        phase_blocks = [e for e in elements if e["kind"] == "phase_block"]
+        beamsplitters = [e for e in elements if e["kind"] == "beamsplitter"]
+        # Beamsplitters come before phase blocks in the document, so their kind
+        # is read first. Neither first offender is the extreme of its kind.
+        assert elements.index(beamsplitters[0]) < elements.index(phase_blocks[0])
+        for element, k in zip(phase_blocks[1::2], (4, 0, 7)):
+            element["spatial_index"] = k
+        good_pairs = [e["spatial_pair"] for e in beamsplitters]
+        for element, pair in zip(beamsplitters[2:], ([2, 4], [3, 4], [0, 1])):
+            element["spatial_pair"] = pair
+
+        def reader_message(error):
+            with pytest.raises(error) as caught:
+                deserialize(json.dumps(doc))
+            return str(caught.value)
+
+        def walker_message(element):
+            with pytest.raises(DimensionError) as caught:
+                reconstruct(Circuit(space, [element]))
+            return str(caught.value)
+
+        assert reader_message(DimensionError) == walker_message(Beamsplitter((2, 4)))
+        assert reader_message(DimensionError) == "spatial pair (2, 4) is not adjacent; only (k, k+1) is allowed"
+        for element, pair in zip(beamsplitters, good_pairs):
+            element["spatial_pair"] = pair
+        assert reader_message(DimensionError) == walker_message(PhaseBlock(4, np.zeros(2)))
+        assert reader_message(DimensionError) == "spatial index 4 out of range 1..3"
+        # Within a kind a type fault is reported before any range fault.
+        phase_blocks[-1]["spatial_index"] = True
+        assert reader_message(CircuitFormatError) == "spatial_index must be an integer"
