@@ -1,0 +1,137 @@
+"""Checked-in mutants: each one must make the tests named in its row fail.
+
+For every row of ``MUTANTS`` the runner copies ``src/``, ``tests/`` and
+``pyproject.toml`` into a fresh temporary directory, replaces the row's old
+text with its new text and runs ``python -m pytest -x -q`` on the row's test
+files there. It exits 1 if any mutant survives or if any old text does not
+occur exactly once in its file, so the table has to keep up with the code.
+Standard library only; run it from anywhere:
+
+    python mutants/run.py
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SERIALIZATION = "src/modemix/serialization.py"
+
+# (what the mutant does, file, old text, new text, test files that must fail)
+MUTANTS = [
+    (
+        "the reader adds 0.0 to every phase",
+        SERIALIZATION,
+        "values = _numbers(values, (n_p,), value_key)",
+        "values = _numbers(values, (n_p,), value_key) + 0.0",
+        ["tests/test_serialization.py"],
+    ),
+    (
+        "the kind test goes through a set",
+        SERIALIZATION,
+        "if type(kind) is not str or kind not in _BY_KIND:",
+        "if kind not in set(_BY_KIND):",
+        ["tests/test_serialization.py"],
+    ),
+    (
+        "the reader rebuilds the elements grouped by kind",
+        SERIALIZATION,
+        "[next(made[kind]) for kind in kinds]",
+        "[element for column in made.values() for element in column]",
+        ["tests/test_serialization.py"],
+    ),
+    (
+        "format_matrix writes 16 significant digits",
+        "src/modemix/linalg.py",
+        '"%.17g%+.17gj"',
+        '"%.16g%+.16gj"',
+        ["tests/test_linalg.py"],
+    ),
+    (
+        "the walker reads conjugate with `is True`",
+        "src/modemix/circuits.py",
+        "beamsplitters[bool(element.conjugate)]",
+        "beamsplitters[element.conjugate is True]",
+        ["tests/test_circuits.py"],
+    ),
+    (
+        "the writer skips the range check of a spatial index",
+        SERIALIZATION,
+        "        _check_mode(index, space)\n",
+        "",
+        ["tests/test_serialization.py"],
+    ),
+    (
+        "the writer skips the range and adjacency check of a spatial pair",
+        SERIALIZATION,
+        "        _check_pair(index, space)\n",
+        "",
+        ["tests/test_serialization.py"],
+    ),
+    (
+        "the writer truncates a spatial index with int()",
+        SERIALIZATION,
+        "index = operator.index(index)",
+        "index = int(index)",
+        ["tests/test_serialization.py"],
+    ),
+    (
+        "the writer skips the shape check of a value",
+        SERIALIZATION,
+        "if array.shape != shape:",
+        "if False:",
+        ["tests/test_serialization.py"],
+    ),
+    (
+        "the writer skips the unitarity check of the internal matrices",
+        SERIALIZATION,
+        "    if matrices:\n",
+        "    if False:\n",
+        ["tests/test_serialization.py"],
+    ),
+]
+
+
+def run(name: str, path: str, old: str, new: str, tests: list[str]) -> bool:
+    """Apply one mutant to a copy of the tree; True when its tests fail."""
+    source = (ROOT / path).read_text()
+    count = source.count(old)
+    if count != 1:
+        print(f"STALE    {name}: old text occurs {count} times in {path}")
+        return False
+    with tempfile.TemporaryDirectory(prefix="modemix-mutant-") as tmp:
+        work = Path(tmp)
+        shutil.copytree(ROOT / "src", work / "src", ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copytree(ROOT / "tests", work / "tests", ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", work / "pyproject.toml")
+        (work / path).write_text(source.replace(old, new))
+        env = dict(os.environ, PYTHONPATH=str(work / "src"))
+        start = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", *tests],
+            cwd=work, env=env, capture_output=True, text=True,
+        )
+        seconds = time.perf_counter() - start
+    # pytest exits 1 when tests ran and some failed; any other code is no kill.
+    if result.returncode == 1:
+        print(f"killed   {name} ({seconds:.1f} s)")
+        return True
+    verdict = "SURVIVED" if result.returncode == 0 else f"ERROR {result.returncode}"
+    print(f"{verdict} {name}\n{result.stdout[-2000:]}{result.stderr[-2000:]}")
+    return False
+
+
+def main() -> int:
+    killed = [run(*row) for row in MUTANTS]
+    print(f"{sum(killed)} of {len(killed)} mutants killed")
+    return 0 if all(killed) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

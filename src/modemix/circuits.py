@@ -11,6 +11,7 @@ first, so in the matrix product ``elements[-1]`` is the leftmost factor.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -31,8 +32,16 @@ class ModeSpace:
     n_p: int
 
     def __post_init__(self):
-        if self.n_s < 1 or self.n_p < 1:
-            raise DimensionError(f"mode counts must be positive, got n_s={self.n_s}, n_p={self.n_p}")
+        try:  # kept as Python ints, so 2.0 is refused and a numpy integer serializes
+            n_s, n_p = int(operator.index(self.n_s)), int(operator.index(self.n_p))
+        except TypeError:
+            raise DimensionError(
+                f"mode counts must be integers, got n_s={self.n_s!r}, n_p={self.n_p!r}"
+            ) from None
+        if n_s < 1 or n_p < 1:
+            raise DimensionError(f"mode counts must be positive, got n_s={n_s}, n_p={n_p}")
+        object.__setattr__(self, "n_s", n_s)
+        object.__setattr__(self, "n_p", n_p)
 
     @property
     def dim(self) -> int:

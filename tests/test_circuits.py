@@ -27,7 +27,7 @@ class TestModeSpace:
     def test_dim(self):
         assert ModeSpace(3, 2).dim == 6
 
-    @pytest.mark.parametrize("n_s,n_p", [(0, 1), (1, 0), (-1, 2)])
+    @pytest.mark.parametrize("n_s,n_p", [(0, 1), (1, 0), (-1, 2), (2.0, 1), (2.5, 2)])
     def test_rejects_nonpositive(self, n_s, n_p):
         with pytest.raises(DimensionError):
             ModeSpace(n_s, n_p)

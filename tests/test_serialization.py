@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import sys
 
@@ -127,6 +128,23 @@ class TestSerialize:
         with pytest.raises(TypeError):
             serialize(Circuit(ModeSpace(2, 1), ["mirror"]))
 
+    @pytest.mark.parametrize(
+        "space,element,error",
+        [
+            (ModeSpace(2, 1), PhaseBlock(5, np.zeros(1)), DimensionError),
+            (ModeSpace(3, 1), Beamsplitter((1, 3)), DimensionError),
+            (ModeSpace(2, 2), InternalOp(1, 2 * np.eye(2)), UnitarityError),
+            (ModeSpace(2, 1), PhaseBlock(1, np.zeros(2)), DimensionError),
+            (ModeSpace(2, 2), CSBlock((1, 2), np.zeros(1)), DimensionError),
+            (ModeSpace(2, 2), InternalOp(2, np.eye(3)), DimensionError),
+            # int() would write index 1, a different circuit.
+            (ModeSpace(2, 1), PhaseBlock(1.7, np.zeros(1)), TypeError),
+        ],
+    )
+    def test_refuses_what_the_reader_refuses(self, space, element, error):
+        with pytest.raises(error):
+            serialize(Circuit(space, [element]))
+
 
 class TestRoundTrip:
     def test_decompose_output_is_bit_identical(self):
@@ -162,12 +180,61 @@ class TestRoundTrip:
                         assert y.dtype == x.dtype and y.shape == x.shape
                         assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
 
+    def test_numpy_integer_mode_counts_round_trip(self):
+        circuit = Circuit(ModeSpace(np.int64(2), np.int64(1)), [Beamsplitter((1, 2))])
+        assert deserialize(serialize(circuit)).space == ModeSpace(2, 1)
+
     def test_double_round_trip_is_stable(self):
         space = ModeSpace(2, 3)
         circuit = decompose(haar_random_unitary(6, 9), space)
         once = serialize(circuit)
         twice = serialize(deserialize(once))
         assert once == twice
+
+
+def hand_written_document(circuit):
+    """The circuit's JSON document, written field by field without ``serialize``."""
+    def obj(e):
+        if isinstance(e, InternalOp):
+            matrix = [[[z.real, z.imag] for z in row] for row in np.asarray(e.matrix).tolist()]
+            return {"kind": "internal", "spatial_index": e.mode, "matrix": matrix}
+        if isinstance(e, Beamsplitter):
+            return {"kind": "beamsplitter", "spatial_pair": list(e.pair), "conjugate": e.conjugate}
+        if isinstance(e, PhaseBlock):
+            return {"kind": "phase_block", "spatial_index": e.mode, "phases": list(e.phases)}
+        return {"kind": "cs_block", "spatial_pair": list(e.pair), "thetas": list(e.thetas)}
+
+    space = circuit.space
+    elements = [obj(e) for e in circuit.elements]
+    return json.dumps({"format_version": "1", "n_s": space.n_s, "n_p": space.n_p, "elements": elements})
+
+
+def spoils(element, space):
+    """(field, value) pairs that each make one field of ``element`` invalid.
+
+    For a pair, an index spoil moves its first mode.
+    """
+    n_s, n_p = space.n_s, space.n_p
+    if isinstance(element, (InternalOp, PhaseBlock)):
+        out = [("mode", 0), ("mode", n_s + 1), ("mode", 1.5)]
+    else:
+        k = element.pair[0]
+        out = [("pair", (0, 1)), ("pair", (n_s, n_s + 1)), ("pair", (1.5, 2.5)), ("pair", (k, k + 2))]
+    if isinstance(element, InternalOp):
+        out.append(("matrix", 2 * np.eye(n_p)))
+    if isinstance(element, PhaseBlock):
+        out.append(("phases", np.zeros(n_p + 1)))
+    if isinstance(element, CSBlock):
+        out.append(("thetas", np.zeros(n_p + 1)))
+    return out
+
+
+def refuses(function, argument):
+    try:
+        function(argument)
+    except (TypeError, ValueError):
+        return True
+    return False
 
 
 class TestRandomCircuitClosure:
@@ -177,6 +244,18 @@ class TestRandomCircuitClosure:
         restored = deserialize(serialize(circuit))
         assert restored.space == circuit.space
         assert_bit_identical(circuit.elements, restored.elements)
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_writer_refuses_what_the_reader_refuses(self, data):
+        circuit = data.draw(random_circuits().filter(lambda c: c.elements))
+        i = data.draw(st.integers(0, len(circuit.elements) - 1))
+        field, value = data.draw(st.sampled_from(spoils(circuit.elements[i], circuit.space)))
+        elements = list(circuit.elements)
+        elements[i] = dataclasses.replace(elements[i], **{field: value})
+        spoiled = Circuit(circuit.space, elements)
+        assert refuses(deserialize, hand_written_document(spoiled))  # each spoil is a fault
+        assert refuses(serialize, spoiled)
 
 
 class TestDeserializeValidation:
