@@ -95,6 +95,27 @@ MUTANTS = [
         "    if False:\n",
         ["tests/test_serialization.py"],
     ),
+    (
+        "stage 1 puts step (c, r) in wave (n_s - r) + (c - 1)",
+        "src/modemix/decompose.py",
+        "wave = (n_s - r) + 2 * (c - 1)",
+        "wave = (n_s - r) + (c - 1)",
+        ["tests/test_decompose.py"],
+    ),
+    (
+        "stage 1 merges each right factor with the other mode's left factor",
+        "src/modemix/decompose.py",
+        "before += [last[k + 1], last[k]]",
+        "before += [last[k], last[k + 1]]",
+        ["tests/test_decompose.py"],
+    ),
+    (
+        "csd_stack puts every stacked slice in one k group",
+        "src/modemix/csd.py",
+        "group = np.flatnonzero(ks == k)",
+        "group = np.flatnonzero(ks > 0)",
+        ["tests/test_csd.py"],
+    ),
 ]
 
 

@@ -97,11 +97,14 @@ def _check_mode(k: int, space: ModeSpace) -> None:
 
 
 def _check_pair(pair, space: ModeSpace) -> None:
-    k, l = pair
+    try:
+        k, l = pair
+    except (TypeError, ValueError):  # not iterable, or not two long
+        raise DimensionError(f"spatial pair {pair!r} is not two spatial indices") from None
     if l != k + 1:
-        raise DimensionError(f"spatial pair {pair} is not adjacent; only (k, k+1) is allowed")
+        raise DimensionError(f"spatial pair ({k}, {l}) is not adjacent; only (k, k+1) is allowed")
     if not 1 <= k <= space.n_s - 1:
-        raise DimensionError(f"spatial pair {pair} out of range for {space.n_s} spatial modes")
+        raise DimensionError(f"spatial pair ({k}, {l}) out of range for {space.n_s} spatial modes")
 
 
 def _placement(element: CircuitElement, space: ModeSpace, beamsplitters: tuple) -> tuple[slice, np.ndarray]:

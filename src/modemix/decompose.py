@@ -1,13 +1,16 @@
 """Two-stage compilation of a unitary into elementary optical operations.
 
 Stage 1 reduces the unitary to block-diagonal form by nulling its
-off-diagonal blocks one at a time with unitaries on adjacent spatial
-mode pairs, as Reck et al. (PRL 73, 58, 1994) null single entries with
-beamsplitters. All these 2n_p x 2n_p unitaries are then cosine-sine
-decomposed in one stacked call, leaving only internal operations and CS
-mixers between adjacent spatial modes. Stage 2 replaces every CS mixer
-with two balanced beamsplitters and two diagonal phase blocks, so the
-final circuit contains nothing an optics bench cannot provide.
+off-diagonal blocks with unitaries on adjacent spatial mode pairs, as
+Reck et al. (PRL 73, 58, 1994) null single entries with beamsplitters.
+The nulling steps run in 2n_s - 4 waves of steps on disjoint mode pairs,
+the parallel Givens ordering of Sameh and Kuck (J. ACM 25, 81, 1978), so
+each wave is one stacked QR. All these 2n_p x 2n_p unitaries are then
+cosine-sine decomposed in one stacked call, leaving only internal
+operations and CS mixers between adjacent spatial modes. Stage 2
+replaces every CS mixer with two balanced beamsplitters and two diagonal
+phase blocks, so the final circuit contains nothing an optics bench
+cannot provide.
 
 For an ``n_s`` x ``n_p`` mode space the output holds exactly n_s^2
 internal operations and n_s(n_s-1)/2 CS mixers after stage 1, hence
@@ -17,6 +20,7 @@ n_s(n_s-1) beamsplitters and n_s(n_s-1) phase blocks after stage 2.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .circuits import Beamsplitter, Circuit, CSBlock, InternalOp, ModeSpace, PhaseBlock
 from .csd import csd_stack
@@ -27,16 +31,22 @@ from .linalg import require_unitary
 def decompose_stage1(u, space: ModeSpace) -> Circuit:
     """Factor ``u`` into internal operations and CS mixers.
 
-    Column block by column block, and from the bottom row block up, one
-    complete QR of blocks (r-1, c) and (r, c) stacked gives a unitary Q on
-    spatial modes (r-1, r) whose adjoint zeros block (r, c). Once a column
-    is done its diagonal block is unitary and stands alone. The last
-    2n_p x 2n_p block is taken whole instead of nulled, so that
+    Step (c, r), for column block c and row block r > c, takes one complete
+    QR of blocks (r-1, c) and (r, c) stacked; its Q is a unitary on spatial
+    modes (r-1, r) whose adjoint zeros block (r, c). Done column by column,
+    and from the bottom row block up, the steps leave each diagonal block
+    unitary and alone in its column. Step (c, r) runs in wave
+    t = (n_s - r) + 2(c - 1). Every step that this order puts before it on
+    row block r-1 or r is in an earlier wave, and the steps of one wave act
+    on disjoint row pairs, so the 2n_s - 4 waves, each one stacked QR and
+    one stacked update, compute the column-by-column product. This is the
+    parallel Givens ordering of Sameh and Kuck (J. ACM 25, 81, 1978). The
+    last 2n_p x 2n_p block is taken whole instead of nulled, so that
     U = Q_1 ... Q_K-1 (D ⊕ V) with D block diagonal. V and the Q's are
     CS-decomposed together; each gives a CS mixer with an internal
     operation on either side on both of its modes, and the internal
     operations that meet on one mode between two of its mixers are
-    multiplied into one.
+    multiplied into one, all in one stacked product.
     """
     # A copy, because the nulling works in place and, at n_s = 1, the
     # input itself is the one internal op.
@@ -53,32 +63,55 @@ def decompose_stage1(u, space: ModeSpace) -> Circuit:
 
     # The 2n_p x 2n_p unitaries in application order, V first and then the
     # Q's from last to first, each with the upper of its two spatial modes.
-    # Block indices r and c are 1-based, like spatial modes.
+    # Block indices r and c are 1-based, like spatial modes. The steps are
+    # listed column by column and from the bottom up, the order that gives
+    # each Q its slot; the last column's one step is V's, taken whole.
     count = n_s * (n_s - 1) // 2
     modes = np.empty(count, dtype=int)
     unitaries = np.empty((count, 2 * n_p, 2 * n_p), dtype=complex)
-    pending = {}  # mode -> internal op not yet emitted
-    for c in range(1, n_s - 1):
-        column = slice((c - 1) * n_p, c * n_p)
-        for r in range(n_s, c, -1):
-            rows = slice((r - 2) * n_p, r * n_p)
-            q, _ = np.linalg.qr(u[rows, column], mode="complete")
-            u[rows, column.start :] = q.conj().T @ u[rows, column.start :]
-            count -= 1
-            modes[count], unitaries[count] = r - 1, q
-        pending[c] = u[column, column]
+    above, below = np.triu_indices(n_s, 1)
+    c, r = above[:-1] + 1, (n_s + 1 + above - below)[:-1]
+    slot = np.arange(count - 1, 0, -1)
+    wave = (n_s - r) + 2 * (c - 1)
+    order = np.argsort(wave, kind="stable")
+    ends = np.cumsum(np.bincount(wave)).tolist()
+    for start, end in zip([0] + ends, ends):
+        # Across a wave c steps by 1 and r by 2, so its row pairs tile one
+        # band, and the wave's s-th step nulls the band's s-th column block.
+        # Left of that block its rows hold nulled blocks, read by nothing.
+        steps, w = order[start:end], end - start
+        c0, r0 = c[steps[0]], r[steps[0]]
+        band = u[(r0 - 2) * n_p : (r0 - 2 + 2 * w) * n_p, (c0 - 1) * n_p :].reshape(w, 2 * n_p, -1)
+        s0, s1, s2 = band.strides
+        blocks = as_strided(band, (w, 2 * n_p, n_p), (s0 + n_p * s2, s1, s2), writeable=False)
+        q, _ = np.linalg.qr(blocks, mode="complete")
+        band[...] = q.conj().swapaxes(1, 2) @ band
+        modes[slot[steps]], unitaries[slot[steps]] = r[steps] - 1, q
     modes[0], unitaries[0] = n_s - 1, u[-2 * n_p :, -2 * n_p :]
 
     left_top, left_bottom, thetas, right_top, right_bottom = csd_stack(unitaries, n_p)
-    right_top, right_bottom = right_top.conj().swapaxes(1, 2), right_bottom.conj().swapaxes(1, 2)
+    del unitaries  # so that the merge's stacks stay under csd_stack's memory peak
+    # Mixer j's right factors act first, lower mode first: for j >= 1,
+    # rights[2j-2] on mode k+1 and rights[2j-1] on mode k. lefts holds its
+    # left factors L' at j and L at count + j, then the diagonal blocks
+    # D_1 .. D_(n_s-2). A scan over the mixers keeps in last[mode] the index
+    # in lefts of the op that mode carries; V's two right factors meet
+    # nothing. The ops the circuit keeps from rights and lefts are copies,
+    # so that it keeps none of the rest of those stacks alive.
+    rights = np.stack([right_bottom[1:], right_top[1:]], axis=1).reshape(-1, n_p, n_p).conj().swapaxes(1, 2)
+    diagonal = u.reshape(n_s, n_p, n_s, n_p)[range(n_s - 2), :, range(n_s - 2)]
+    lefts = np.concatenate([left_bottom, left_top, diagonal])
+    last = [None, *range(2 * count, 2 * count + n_s - 2), count, 0]
+    before = []
+    for j, k in enumerate(modes.tolist()[1:], 1):
+        before += [last[k + 1], last[k]]
+        last[k + 1], last[k] = j, count + j
+    ops = [right_bottom[0].conj().T, right_top[0].conj().T, *(rights @ lefts[before])]
+
     elements = []
-    for j, k in enumerate(modes.tolist()):
-        for mode, op in ((k + 1, right_bottom[j]), (k, right_top[j])):
-            before = pending.pop(mode, None)
-            elements.append(InternalOp(mode, op if before is None else op @ before))
-        elements.append(CSBlock((k, k + 1), thetas[j]))
-        pending[k], pending[k + 1] = left_top[j], left_bottom[j]
-    elements.extend(InternalOp(mode, pending[mode]) for mode in sorted(pending, reverse=True))
+    for k, bottom, top, theta in zip(modes.tolist(), ops[::2], ops[1::2], thetas):
+        elements += [InternalOp(k + 1, bottom), InternalOp(k, top), CSBlock((k, k + 1), theta)]
+    elements += [InternalOp(mode, op) for mode, op in zip(range(n_s, 0, -1), lefts[last[:0:-1]])]
     return Circuit(space, elements)
 
 

@@ -69,8 +69,9 @@ def _element_to_obj(element, space: ModeSpace, matrices: list) -> dict:
         index = operator.index(index)
         _check_mode(index, space)
     else:
-        index = tuple(map(operator.index, index))  # the encoder writes a tuple as an array
+        # The walker's check goes first, as it refuses what is not two values.
         _check_pair(index, space)
+        index = tuple(map(operator.index, index))  # the encoder writes a tuple as an array
     if value_key == "conjugate":
         return {"kind": kind, index_key: index, value_key: bool(value)}
     n_p = space.n_p

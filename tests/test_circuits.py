@@ -183,6 +183,10 @@ class TestReconstruct:
             "CSBlock needs a 4x4 block, got shape (6, 6)",
         ),
         ("mirror", TypeError, "unknown circuit element type: str"),
+        # A pair that does not unpack into two values.
+        (Beamsplitter((1, 2, 3)), DimensionError, "spatial pair (1, 2, 3) is not two spatial indices"),
+        (CSBlock((1,), np.zeros(2)), DimensionError, "spatial pair (1,) is not two spatial indices"),
+        (Beamsplitter(1), DimensionError, "spatial pair 1 is not two spatial indices"),
     ]
 
     @pytest.mark.parametrize("fault,kind,message", FAULTS)

@@ -27,7 +27,7 @@ from modemix import (
 )
 
 from conftest import block_diag_unitary, cs_conjugated, max_abs
-from paper_cascade import cascade_stage1
+from paper_cascade import cascade_stage1, column_stage1
 from test_serialization import assert_bit_identical
 
 
@@ -326,6 +326,33 @@ class TestAgainstPaperCascade:
                 assert a.mode == b.mode and np.array_equal(a.matrix, b.matrix)
             else:
                 assert a.pair == b.pair and np.array_equal(a.thetas, b.thetas)
+
+
+class TestAgainstColumnOrder:
+    """Nulling in waves gives the circuit of the column-by-column order."""
+
+    @pytest.mark.parametrize("n_p", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n_s", [1, 2, 3, 4, 5, 8, 16])
+    def test_same_elements_in_the_same_order(self, n_s, n_p):
+        space = ModeSpace(n_s, n_p)
+        u = haar_random_unitary(space.dim, 10 * n_s + n_p)
+        waves, columns = decompose_stage1(u, space), column_stage1(u, space)
+        assert len(waves.elements) == len(columns.elements)
+        for a, b in zip(waves.elements, columns.elements):
+            assert type(a) is type(b)
+            if isinstance(a, InternalOp):
+                assert a.mode == b.mode and max_abs(a.matrix, b.matrix) <= 1e-13
+            else:
+                assert a.pair == b.pair and max_abs(a.thetas, b.thetas) <= 1e-13
+        if n_s <= 2:
+            assert serialize(waves) == serialize(columns)
+
+    @pytest.mark.parametrize("n_s,n_p", [(2, 3), (3, 1), (8, 2), (16, 1)])
+    def test_one_qr_per_wave_and_one_for_the_csd(self, monkeypatch, n_s, n_p):
+        u, qr, calls = haar_random_unitary(n_s * n_p, 0), np.linalg.qr, []
+        monkeypatch.setattr(np.linalg, "qr", lambda *args, **kwargs: calls.append(1) or qr(*args, **kwargs))
+        decompose_stage1(u, ModeSpace(n_s, n_p))
+        assert 0 < len(calls) <= 2 * n_s - 3
 
 
 # Mixing angles cluster at the CSD's degenerate points, with gaps down to 1e-12.

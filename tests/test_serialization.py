@@ -139,6 +139,10 @@ class TestSerialize:
             (ModeSpace(2, 2), InternalOp(2, np.eye(3)), DimensionError),
             # int() would write index 1, a different circuit.
             (ModeSpace(2, 1), PhaseBlock(1.7, np.zeros(1)), TypeError),
+            # Pairs that do not unpack into two values.
+            (ModeSpace(3, 1), Beamsplitter((1, 2, 3)), DimensionError),
+            (ModeSpace(3, 1), Beamsplitter((1,)), DimensionError),
+            (ModeSpace(3, 1), Beamsplitter(1), DimensionError),
         ],
     )
     def test_refuses_what_the_reader_refuses(self, space, element, error):
