@@ -22,6 +22,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SERIALIZATION = "src/modemix/serialization.py"
+CIRCUITS = "src/modemix/circuits.py"
 
 # (what the mutant does, file, old text, new text, test files that must fail)
 MUTANTS = [
@@ -55,30 +56,53 @@ MUTANTS = [
     ),
     (
         "the walker reads conjugate with `is True`",
-        "src/modemix/circuits.py",
-        "beamsplitters[bool(element.conjugate)]",
-        "beamsplitters[element.conjugate is True]",
+        CIRCUITS,
+        "2 + bool(element.conjugate)",
+        "2 + (element.conjugate is True)",
+        ["tests/test_circuits.py"],
+    ),
+    (
+        "a pair's layer reads only its lower mode",
+        CIRCUITS,
+        "max(depth[k], depth[k + 1]) + 1",
+        "depth[k] + 1",
+        ["tests/test_circuits.py"],
+    ),
+    (
+        "the walker takes the band view without the tiling test",
+        CIRCUITS,
+        "if starts[-1] - first == (g - 1) * width:",
+        "if True:",
+        ["tests/test_circuits.py"],
+    ),
+    (
+        "the walker applies diagonal blocks, such as phase blocks, by row scaling",
+        CIRCUITS,
+        "            band[...] = blocks @ band\n",
+        "            diagonal = np.diagonal(blocks, 0, -2, -1)[..., None]\n"
+        "            diagonal_only = np.array_equal(blocks, diagonal * np.eye(width))\n"
+        "            band[...] = diagonal * band if diagonal_only else blocks @ band\n",
         ["tests/test_circuits.py"],
     ),
     (
         "the writer skips the range check of a spatial index",
         SERIALIZATION,
-        "        _check_mode(index, space)\n",
-        "",
+        "        index = _check_mode(index, space)\n",
+        "        pass\n",
         ["tests/test_serialization.py"],
     ),
     (
         "the writer skips the range and adjacency check of a spatial pair",
         SERIALIZATION,
-        "        _check_pair(index, space)\n",
-        "",
+        "        index = _check_pair(index, space)  # the encoder writes a tuple as an array\n",
+        "        pass\n",
         ["tests/test_serialization.py"],
     ),
     (
-        "the writer truncates a spatial index with int()",
-        SERIALIZATION,
-        "index = operator.index(index)",
-        "index = int(index)",
+        "the index check truncates a spatial index with int()",
+        CIRCUITS,
+        "k = operator.index(k)",
+        "k = int(k)",
         ["tests/test_serialization.py"],
     ),
     (

@@ -12,6 +12,7 @@ first, so in the matrix product ``elements[-1]`` is the leftmost factor.
 from __future__ import annotations
 
 import operator
+from operator import itemgetter
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -91,63 +92,138 @@ class Circuit:
     elements: list = field(default_factory=list)
 
 
-def _check_mode(k: int, space: ModeSpace) -> None:
+def _check_mode(k, space: ModeSpace) -> int:
+    """The spatial index ``k`` as a Python int, held to 1..n_s."""
+    try:  # operator.index refuses a non-integer index where int() would truncate it
+        k = operator.index(k)
+    except TypeError:
+        raise TypeError(f"spatial index {k!r} is not an integer") from None
     if not 1 <= k <= space.n_s:
         raise DimensionError(f"spatial index {k} out of range 1..{space.n_s}")
+    return k
 
 
-def _check_pair(pair, space: ModeSpace) -> None:
+def _check_pair(pair, space: ModeSpace) -> tuple[int, int]:
+    """The spatial pair as two Python ints (k, k+1), held to 1 <= k < n_s."""
     try:
         k, l = pair
     except (TypeError, ValueError):  # not iterable, or not two long
         raise DimensionError(f"spatial pair {pair!r} is not two spatial indices") from None
+    try:
+        k, l = operator.index(k), operator.index(l)
+    except TypeError:
+        raise TypeError(f"spatial pair {pair!r} is not two integers") from None
     if l != k + 1:
         raise DimensionError(f"spatial pair ({k}, {l}) is not adjacent; only (k, k+1) is allowed")
     if not 1 <= k <= space.n_s - 1:
         raise DimensionError(f"spatial pair ({k}, {l}) out of range for {space.n_s} spatial modes")
+    return k, l
 
 
-def _placement(element: CircuitElement, space: ModeSpace, beamsplitters: tuple) -> tuple[slice, np.ndarray]:
-    """Composite-basis rows an element acts on, and its block on those rows."""
-    n_p = space.n_p
-    if isinstance(element, InternalOp):
-        _check_mode(element.mode, space)
-        first, width, block = element.mode, n_p, np.asarray(element.matrix, dtype=complex)
-    elif isinstance(element, PhaseBlock):
-        _check_mode(element.mode, space)
-        phases = np.asarray(element.phases, dtype=float)
-        first, width, block = element.mode, n_p, np.diag(np.exp(1j * phases))
-    elif isinstance(element, Beamsplitter):
-        _check_pair(element.pair, space)
-        first, width, block = element.pair[0], 2 * n_p, beamsplitters[bool(element.conjugate)]
-    elif isinstance(element, CSBlock):
-        _check_pair(element.pair, space)
-        thetas = np.asarray(element.thetas, dtype=float)
-        first, width, block = element.pair[0], 2 * n_p, cs_matrix(thetas, 2 * thetas.size)
-    else:
-        raise TypeError(f"unknown circuit element type: {type(element).__name__}")
-    if block.shape != (width, width):
-        raise DimensionError(
-            f"{type(element).__name__} needs a {width}x{width} block, got shape {block.shape}"
-        )
-    start = (first - 1) * n_p
-    return slice(start, start + width), block
+def _block_fault(element, width: int, shape: tuple) -> DimensionError:
+    return DimensionError(f"{type(element).__name__} needs a {width}x{width} block, got shape {shape}")
+
+
+def _angles(element, values, name: str, n_p: int, span: int) -> np.ndarray:
+    """The n_p angles of a phase block (span 1) or CS block (span 2) as floats."""
+    angles = np.asarray(values, dtype=float)
+    if angles.shape == (n_p,):
+        return angles
+    if angles.ndim == 1:  # named by the block that many angles would build
+        raise _block_fault(element, span * n_p, (span * angles.size,) * 2)
+    raise DimensionError(
+        f"{type(element).__name__} needs {name} of shape {(n_p,)}, got shape {angles.shape}"
+    )
+
+
+def _phase_blocks(phases: np.ndarray, n_p: int) -> np.ndarray:
+    """Stack of diag(exp(i*phases[j])), one n_p x n_p block per row of ``phases``."""
+    blocks = np.zeros((len(phases), n_p, n_p), dtype=complex)
+    diagonal = np.arange(n_p)
+    blocks[:, diagonal, diagonal] = np.exp(1j * phases)
+    return blocks
+
+
+def _kron_eye(b: np.ndarray, n_p: int) -> np.ndarray:
+    """np.kron(b, np.eye(n_p)) of a 2x2 ``b``, bit for bit, without its dense outer product."""
+    block = np.zeros((2, n_p, 2, n_p), dtype=complex)
+    diagonal = np.arange(n_p)
+    block[:, diagonal, :, diagonal] = b * 1.0  # np.kron multiplies each entry by 1 + 0j
+    return block.reshape(2 * n_p, 2 * n_p)
 
 
 def reconstruct(circuit: Circuit) -> np.ndarray:
     """Total matrix of a circuit: the product of its elements.
 
-    Elements are applied in storage order, so each one multiplies from the
-    left, and each touches only the rows of the modes it acts on. The two
-    beamsplitter blocks, kron(B, 1) and kron(B†, 1), are built once per
-    call. An empty circuit reconstructs to the identity.
+    One pass in storage order checks each element and puts it in the
+    earliest layer after every earlier element on its spatial modes, so the
+    elements of one layer act on disjoint rows and commute. Each kind's
+    blocks are then built in one call, in (layer, first mode) order; the two
+    beamsplitter blocks, kron(B, 1) and kron(B†, 1), are broadcast, not
+    copied. Each (layer, kind) group is one batched product on its rows:
+    through a band view when the group tiles one band of rows, else by
+    gather and scatter. The result is bit for bit that of applying the
+    elements one at a time; an empty circuit gives the identity.
     """
-    out = np.eye(circuit.space.dim, dtype=complex)
-    eye = np.eye(circuit.space.n_p)
-    beamsplitters = (np.kron(BEAMSPLITTER_2, eye), np.kron(BEAMSPLITTER_2.conj().T, eye))
+    space = circuit.space
+    n_p, dim, stride = space.n_p, space.dim, space.n_s + 1
+    depth = [0] * stride  # deepest layer so far on each spatial mode
+    # Per kind (internal op, phase block, beamsplitter, conjugate beamsplitter,
+    # CS block), each element's value and its key layer * stride + first mode,
+    # which sorts by (layer, first mode). Python ints, unlike tuples, add no
+    # work for the cyclic garbage collector.
+    keys, values = [[] for _ in range(5)], [[] for _ in range(5)]
     for element in circuit.elements:
-        rows, block = _placement(element, circuit.space, beamsplitters)
-        out[rows] = block @ out[rows]
+        if isinstance(element, (InternalOp, PhaseBlock)):
+            k = _check_mode(element.mode, space)
+            layer = depth[k] = depth[k] + 1
+            if isinstance(element, InternalOp):
+                kind, value = 0, np.asarray(element.matrix, dtype=complex)
+                if value.shape != (n_p, n_p):
+                    raise _block_fault(element, n_p, value.shape)
+            else:
+                kind, value = 1, _angles(element, element.phases, "phases", n_p, 1)
+        elif isinstance(element, (Beamsplitter, CSBlock)):
+            k = _check_pair(element.pair, space)[0]
+            layer = depth[k] = depth[k + 1] = max(depth[k], depth[k + 1]) + 1
+            if isinstance(element, Beamsplitter):
+                kind, value = 2 + bool(element.conjugate), None
+            else:
+                kind, value = 4, _angles(element, element.thetas, "thetas", n_p, 2)
+        else:
+            raise TypeError(f"unknown circuit element type: {type(element).__name__}")
+        keys[kind].append(layer * stride + k)
+        values[kind].append(value)
+
+    groups = []  # (layer, first row of each element, blocks or the one shared block)
+    builders = (
+        np.array,
+        lambda phases: _phase_blocks(np.array(phases), n_p),
+        lambda _: _kron_eye(BEAMSPLITTER_2, n_p),
+        lambda _: _kron_eye(BEAMSPLITTER_2.conj().T, n_p),
+        lambda thetas: cs_matrix(np.array(thetas), 2 * n_p),
+    )
+    for kind_keys, kind_values, build in zip(keys, values, builders):
+        if not kind_keys:
+            continue
+        kind_keys = np.array(kind_keys)
+        order = np.argsort(kind_keys)
+        layers, firsts = np.divmod(kind_keys[order], stride)
+        starts = ((firsts - 1) * n_p).tolist()
+        blocks = build([kind_values[i] for i in order.tolist()])
+        bounds = [0, *(np.flatnonzero(np.diff(layers)) + 1).tolist(), len(order)]
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            groups.append((layers[a], starts[a:b], blocks if blocks.ndim == 2 else blocks[a:b]))
+
+    out = np.eye(dim, dtype=complex)
+    for _, starts, blocks in sorted(groups, key=itemgetter(0)):
+        g, width, first = len(starts), blocks.shape[-1], starts[0]
+        if starts[-1] - first == (g - 1) * width:  # the group tiles one band of rows
+            band = out[first : first + g * width].reshape(g, width, dim)
+            band[...] = blocks @ band
+        else:
+            rows = (np.array(starts)[:, None] + np.arange(width)).ravel()
+            out[rows] = (blocks @ out[rows].reshape(g, width, dim)).reshape(-1, dim)
     return out
 
 

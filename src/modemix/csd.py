@@ -67,20 +67,23 @@ def cs_matrix(thetas, total_dim: int) -> np.ndarray:
     Returns the real orthogonal ``total_dim`` x ``total_dim`` matrix with
     cos(theta_i) at positions (i, i) and (i+m, i+m), +sin(theta_i) at
     (i, i+m), -sin(theta_i) at (i+m, i) and ones on the remaining diagonal.
+    A stack of angle vectors, shape (..., m), gives a stack of matrices.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    m = thetas.size
+    m = thetas.shape[-1]
     if total_dim < 2 * m:
         raise DimensionError(
             f"total dimension {total_dim} cannot hold {m} mixing angles (needs at least {2 * m})"
         )
-    s = np.eye(total_dim)
+    s = np.zeros((*thetas.shape[:-1], total_dim, total_dim))
+    diagonal = np.arange(total_dim)
+    s[..., diagonal, diagonal] = 1.0
     idx = np.arange(m)
     cos, sin = np.cos(thetas), np.sin(thetas)
-    s[idx, idx] = cos
-    s[idx, idx + m] = sin
-    s[idx + m, idx] = -sin
-    s[idx + m, idx + m] = cos
+    s[..., idx, idx] = cos
+    s[..., idx, idx + m] = sin
+    s[..., idx + m, idx] = -sin
+    s[..., idx + m, idx + m] = cos
     return s
 
 

@@ -64,14 +64,11 @@ def _element_to_obj(element, space: ModeSpace, matrices: list) -> dict:
         raise TypeError(f"unknown circuit element type: {type(element).__name__}")
     kind, index_key, value_key, fields = row
     index, value = fields(element)
-    # operator.index refuses a non-integer index where int() would truncate it.
+    # The walker's checks return the index or pair as Python ints.
     if index_key == "spatial_index":
-        index = operator.index(index)
-        _check_mode(index, space)
+        index = _check_mode(index, space)
     else:
-        # The walker's check goes first, as it refuses what is not two values.
-        _check_pair(index, space)
-        index = tuple(map(operator.index, index))  # the encoder writes a tuple as an array
+        index = _check_pair(index, space)  # the encoder writes a tuple as an array
     if value_key == "conjugate":
         return {"kind": kind, index_key: index, value_key: bool(value)}
     n_p = space.n_p

@@ -17,8 +17,9 @@ from modemix import (
     embed,
     haar_random_unitary,
     reconstruct,
+    serialize,
 )
-from modemix.circuits import BEAMSPLITTER_2
+from modemix.circuits import BEAMSPLITTER_2, _check_mode, _check_pair
 
 from conftest import max_abs
 
@@ -273,3 +274,131 @@ class TestReconstructBits:
         for flag in flags:
             element = Beamsplitter((2, 3), conjugate=flag)
             assert_same_bits(embed(element, space), kron_oracle(Circuit(space, [element])))
+
+
+class TestLayeredWalker:
+    """Same-layer groups that do not tile one band, mixed kinds and edge cases, bit for bit."""
+
+    @staticmethod
+    def circuit(n_s, n_p, specs, seed=0):
+        """Elements from (kind, index) specs, with seeded values."""
+        rng = np.random.default_rng(seed)
+        make = {
+            "op": lambda k: InternalOp(k, haar_random_unitary(n_p, int(rng.integers(1000)))),
+            "phase": lambda k: PhaseBlock(k, rng.uniform(-np.pi, np.pi, n_p)),
+            "bs": lambda pair: Beamsplitter(pair),
+            "bs*": lambda pair: Beamsplitter(pair, conjugate=True),
+            "cs": lambda pair: CSBlock(pair, rng.uniform(0, np.pi / 2, n_p)),
+        }
+        return Circuit(ModeSpace(n_s, n_p), [make[kind](index) for kind, index in specs])
+
+    CASES = {
+        # The first four leave a gap in their first layer, so that group is gathered and scattered.
+        "ops on modes 1 and 3 of 4": (4, 2, [("op", 1), ("op", 3), ("op", 1), ("phase", 3)]),
+        "phases on modes 1 and 4 of 4": (4, 3, [("phase", 1), ("phase", 4), ("op", 4), ("op", 1)]),
+        "pairs (1, 2) and (4, 5)": (5, 2, [("bs", (1, 2)), ("bs", (4, 5)), ("op", 2), ("op", 5)]),
+        "CS pairs (1, 2) and (4, 5)": (5, 1, [("cs", (1, 2)), ("cs", (4, 5)), ("bs*", (2, 3))]),
+        "both flags in one layer": (
+            4, 2, [("bs", (1, 2)), ("bs*", (3, 4)), ("bs*", (1, 2)), ("bs", (3, 4)), ("bs", (2, 3))],
+        ),
+        "CS blocks beside beamsplitters": (
+            6, 2, [("cs", (1, 2)), ("bs", (3, 4)), ("cs", (5, 6)), ("bs*", (2, 3)), ("cs", (4, 5))],
+        ),
+        "upper mode first": (
+            4, 2, [("op", 4), ("op", 3), ("op", 2), ("op", 1), ("bs", (3, 4)), ("bs", (1, 2)), ("phase", 2)],
+        ),
+        "one spatial mode": (1, 3, [("op", 1), ("phase", 1), ("op", 1), ("phase", 1)]),
+        "one mode of one": (1, 1, [("phase", 1), ("op", 1)]),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_hand_built_circuit(self, name):
+        n_s, n_p, specs = self.CASES[name]
+        circuit = self.circuit(n_s, n_p, specs)
+        assert_same_bits(reconstruct(circuit), kron_oracle(circuit))
+
+    @pytest.mark.parametrize("n_s,n_p", [(1, 2), (2, 1), (4, 3)])
+    def test_empty_circuit_is_the_identity_bit_for_bit(self, n_s, n_p):
+        space = ModeSpace(n_s, n_p)
+        assert_same_bits(reconstruct(Circuit(space)), np.eye(space.dim, dtype=complex))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_placements(self, seed):
+        # Random kinds on random modes: layers of every kind, tiled or not.
+        rng = np.random.default_rng(seed)
+        n_s, n_p = 6, 1 + seed % 3
+        specs = []
+        for _ in range(60):
+            kind = ["op", "phase", "bs", "bs*", "cs"][int(rng.integers(5))]
+            k = int(rng.integers(1, n_s + (kind in ("op", "phase"))))
+            specs.append((kind, k if kind in ("op", "phase") else (k, k + 1)))
+        circuit = self.circuit(n_s, n_p, specs, seed)
+        assert_same_bits(reconstruct(circuit), kron_oracle(circuit))
+        for element in circuit.elements[::7]:
+            one = Circuit(circuit.space, [element])
+            assert_same_bits(embed(element, circuit.space), kron_oracle(one))
+
+    def test_first_fault_in_document_order_is_named(self):
+        # The phase block sits in layer 3 of mode 1; the later pair would sit in layer 1.
+        space = ModeSpace(3, 2)
+        u = haar_random_unitary(2, 0)
+        elements = [InternalOp(1, u), InternalOp(1, u), PhaseBlock(1, np.array([0.1])), Beamsplitter((2, 4))]
+        with pytest.raises(DimensionError, match=re.escape("PhaseBlock needs a 2x2 block, got shape (1, 1)")):
+            reconstruct(Circuit(space, elements))
+        elements[2] = InternalOp(1, u)
+        with pytest.raises(DimensionError, match=re.escape("spatial pair (2, 4) is not adjacent")):
+            reconstruct(Circuit(space, elements))
+
+
+class TestIndexRule:
+    """The walker and the writer take indices through operator.index, as Python ints."""
+
+    @pytest.mark.parametrize(
+        "element,message",
+        [
+            (InternalOp(1.5, np.eye(2)), "spatial index 1.5 is not an integer"),
+            (PhaseBlock(2.0, np.zeros(2)), "spatial index 2.0 is not an integer"),
+            (Beamsplitter((1.0, 2.0)), "spatial pair (1.0, 2.0) is not two integers"),
+            (CSBlock((1, 2.0), np.zeros(2)), "spatial pair (1, 2.0) is not two integers"),
+        ],
+    )
+    def test_non_integer_index_is_named(self, element, message):
+        circuit = Circuit(ModeSpace(3, 2), [element])
+        for write in (reconstruct, serialize):
+            with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+                write(circuit)
+
+    def test_numpy_integers_work(self):
+        space = ModeSpace(3, 2)
+        u, i64 = haar_random_unitary(2, 3), np.int64
+        plain = [InternalOp(2, u), Beamsplitter((1, 2)), PhaseBlock(3, np.array([0.2, 0.4]))]
+        numpy = [InternalOp(i64(2), u), Beamsplitter((i64(1), i64(2))), PhaseBlock(i64(3), np.array([0.2, 0.4]))]
+        assert_same_bits(reconstruct(Circuit(space, numpy)), reconstruct(Circuit(space, plain)))
+        assert serialize(Circuit(space, numpy)) == serialize(Circuit(space, plain))
+
+    def test_checks_return_python_ints(self):
+        space = ModeSpace(3, 1)
+        assert type(_check_mode(np.int64(2), space)) is int
+        pair = _check_pair(np.array([2, 3]), space)
+        assert pair == (2, 3) and all(type(k) is int for k in pair)
+
+
+class TestValueShapes:
+    """The walker refuses every value shape the writer refuses, with DimensionError."""
+
+    @pytest.mark.parametrize(
+        "space,element,message",
+        [
+            (ModeSpace(2, 1), PhaseBlock(1, np.float64(0.3)), "PhaseBlock needs phases of shape (1,), got shape ()"),
+            (ModeSpace(2, 2), PhaseBlock(1, np.float64(0.3)), "PhaseBlock needs phases of shape (2,), got shape ()"),
+            (ModeSpace(2, 2), PhaseBlock(1, np.zeros((2, 2))), "PhaseBlock needs phases of shape (2,), got shape (2, 2)"),
+            (ModeSpace(2, 2), CSBlock((1, 2), np.zeros((1, 2))), "CSBlock needs thetas of shape (2,), got shape (1, 2)"),
+            (ModeSpace(2, 1), CSBlock((1, 2), np.float64(0.3)), "CSBlock needs thetas of shape (1,), got shape ()"),
+        ],
+    )
+    def test_walker_and_writer_refuse(self, space, element, message):
+        circuit = Circuit(space, [element])
+        with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+            reconstruct(circuit)
+        with pytest.raises(DimensionError):
+            serialize(circuit)
