@@ -57,8 +57,8 @@ MUTANTS = [
     (
         "the walker reads conjugate with `is True`",
         CIRCUITS,
-        "2 + bool(element.conjugate)",
-        "2 + (element.conjugate is True)",
+        "BEAMSPLITTER + bool(element.conjugate)",
+        "BEAMSPLITTER + (element.conjugate is True)",
         ["tests/test_circuits.py"],
     ),
     (
@@ -85,17 +85,17 @@ MUTANTS = [
         ["tests/test_circuits.py"],
     ),
     (
-        "the writer skips the range check of a spatial index",
-        SERIALIZATION,
-        "        index = _check_mode(index, space)\n",
-        "        pass\n",
+        "the walk skips the range check of a spatial index",
+        CIRCUITS,
+        "k = _check_mode(element.mode, space)",
+        "k = element.mode",
         ["tests/test_serialization.py"],
     ),
     (
-        "the writer skips the range and adjacency check of a spatial pair",
-        SERIALIZATION,
-        "        index = _check_pair(index, space)  # the encoder writes a tuple as an array\n",
-        "        pass\n",
+        "the walk skips the range and adjacency check of a spatial pair",
+        CIRCUITS,
+        "k = _check_pair(element.pair, space)[0]",
+        "k = element.pair[0]",
         ["tests/test_serialization.py"],
     ),
     (
@@ -106,18 +106,60 @@ MUTANTS = [
         ["tests/test_serialization.py"],
     ),
     (
-        "the writer skips the shape check of a value",
-        SERIALIZATION,
-        "if array.shape != shape:",
+        "the walk skips the shape check of an internal matrix",
+        CIRCUITS,
+        "if value.shape != (n_p, n_p):",
         "if False:",
         ["tests/test_serialization.py"],
     ),
     (
         "the writer skips the unitarity check of the internal matrices",
         SERIALIZATION,
-        "    if matrices:\n",
-        "    if False:\n",
+        '        require_unitary(stack, "an internal operation")\n',
+        "        pass\n",
         ["tests/test_serialization.py"],
+    ),
+    (
+        "the writer emits its lines grouped by kind, not in document order",
+        SERIALIZATION,
+        "[next(lines[code]) for code in sequence]",
+        "[line for column in lines.values() for line in column]",
+        ["tests/test_serialization.py"],
+    ),
+    (
+        "the writer drops its per-kind finiteness check",
+        SERIALIZATION,
+        "if not np.isfinite(stack).all():",
+        "if False:",
+        ["tests/test_serialization.py"],
+    ),
+    (
+        "the writer formats phases and thetas with %.16g, not %r",
+        SERIALIZATION,
+        'value = "[%s]" % ", ".join(["%r"] * n_p)',
+        'value = "[%s]" % ", ".join(["%.16g"] * n_p)',
+        ["tests/test_serialization.py"],
+    ),
+    (
+        "the writer checks internal ops for unitarity before other kinds for finiteness",
+        SERIALIZATION,
+        "for code in (CS, CONJUGATE, BEAMSPLITTER, PHASE, INTERNAL):",
+        "for code in (INTERNAL, CS, CONJUGATE, BEAMSPLITTER, PHASE):",
+        ["tests/test_serialization.py"],
+    ),
+    (
+        "the writer writes a pair as [k, k]",
+        SERIALIZATION,
+        "((k, k + 1) for k in firsts)",
+        "((k, k) for k in firsts)",
+        ["tests/test_serialization.py"],
+    ),
+    (
+        "the walk dispatches on element kind through isinstance",
+        CIRCUITS,
+        "kind = _KINDS.get(type(element))",
+        "kind = next((code for cls, code in _KINDS.items() if isinstance(element, cls)), None)",
+        ["tests/test_circuits.py"],
     ),
     (
         "stage 1 puts step (c, r) in wave (n_s - r) + (c - 1)",

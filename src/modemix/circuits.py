@@ -12,6 +12,7 @@ first, so in the matrix product ``elements[-1]`` is the leftmost factor.
 from __future__ import annotations
 
 import operator
+from collections import defaultdict
 from operator import itemgetter
 from dataclasses import dataclass, field
 from typing import Union
@@ -152,48 +153,65 @@ def _kron_eye(b: np.ndarray, n_p: int) -> np.ndarray:
     return block.reshape(2 * n_p, 2 * n_p)
 
 
+# Kind codes, by exact type: a subclass may mean something the file format
+# cannot hold. A conjugate beamsplitter is kind 3.
+INTERNAL, PHASE, BEAMSPLITTER, CONJUGATE, CS = range(5)
+_KINDS = {InternalOp: INTERNAL, PhaseBlock: PHASE, Beamsplitter: BEAMSPLITTER, CSBlock: CS}
+
+
+def _walk(circuit: Circuit) -> tuple[list, list, list]:
+    """The one checking pass, in document order, that ``reconstruct`` and ``serialize`` share.
+
+    Checks each element's type, index or pair and value shape, and layers it
+    after every earlier element on its spatial modes. Returns, in document
+    order, the keys ``layer * (n_s + 1) + first mode`` and the values (None
+    for a beamsplitter) of each kind code, and every element's kind code.
+    """
+    space = circuit.space
+    n_p, stride = space.n_p, space.n_s + 1
+    depth = defaultdict(int)  # deepest layer on each mode met; a list would take O(n_s)
+    # Python ints, unlike tuples, add no work for the cyclic garbage collector.
+    keys, values, sequence = [[] for _ in range(5)], [[] for _ in range(5)], []
+    for element in circuit.elements:
+        kind = _KINDS.get(type(element))
+        if kind is None:
+            raise TypeError(f"unknown circuit element type: {type(element).__name__}")
+        if kind < BEAMSPLITTER:
+            k = _check_mode(element.mode, space)
+            layer = depth[k] = depth[k] + 1
+            if kind == INTERNAL:
+                value = np.asarray(element.matrix, dtype=complex)
+                if value.shape != (n_p, n_p):
+                    raise _block_fault(element, n_p, value.shape)
+            else:
+                value = _angles(element, element.phases, "phases", n_p, 1)
+        else:
+            k = _check_pair(element.pair, space)[0]
+            layer = depth[k] = depth[k + 1] = max(depth[k], depth[k + 1]) + 1
+            if kind == CS:
+                value = _angles(element, element.thetas, "thetas", n_p, 2)
+            else:
+                kind, value = BEAMSPLITTER + bool(element.conjugate), None
+        keys[kind].append(layer * stride + k)
+        values[kind].append(value)
+        sequence.append(kind)
+    return keys, values, sequence
+
+
 def reconstruct(circuit: Circuit) -> np.ndarray:
     """Total matrix of a circuit: the product of its elements.
 
-    One pass in storage order checks each element and puts it in the
-    earliest layer after every earlier element on its spatial modes, so the
-    elements of one layer act on disjoint rows and commute. Each kind's
-    blocks are then built in one call, in (layer, first mode) order; the two
-    beamsplitter blocks, kron(B, 1) and kron(B†, 1), are broadcast, not
-    copied. Each (layer, kind) group is one batched product on its rows:
-    through a band view when the group tiles one band of rows, else by
-    gather and scatter. The result is bit for bit that of applying the
+    ``_walk`` checks and layers the elements; those of one layer act on
+    disjoint rows and commute. Each kind's blocks are built in one call, in
+    (layer, first mode) order; the two beamsplitter blocks, kron(B, 1) and
+    kron(B†, 1), are broadcast, not copied. Each (layer, kind) group is one
+    batched product on its rows: a band view when the group tiles one band,
+    else gather and scatter. The result is bit for bit that of applying the
     elements one at a time; an empty circuit gives the identity.
     """
     space = circuit.space
     n_p, dim, stride = space.n_p, space.dim, space.n_s + 1
-    depth = [0] * stride  # deepest layer so far on each spatial mode
-    # Per kind (internal op, phase block, beamsplitter, conjugate beamsplitter,
-    # CS block), each element's value and its key layer * stride + first mode,
-    # which sorts by (layer, first mode). Python ints, unlike tuples, add no
-    # work for the cyclic garbage collector.
-    keys, values = [[] for _ in range(5)], [[] for _ in range(5)]
-    for element in circuit.elements:
-        if isinstance(element, (InternalOp, PhaseBlock)):
-            k = _check_mode(element.mode, space)
-            layer = depth[k] = depth[k] + 1
-            if isinstance(element, InternalOp):
-                kind, value = 0, np.asarray(element.matrix, dtype=complex)
-                if value.shape != (n_p, n_p):
-                    raise _block_fault(element, n_p, value.shape)
-            else:
-                kind, value = 1, _angles(element, element.phases, "phases", n_p, 1)
-        elif isinstance(element, (Beamsplitter, CSBlock)):
-            k = _check_pair(element.pair, space)[0]
-            layer = depth[k] = depth[k + 1] = max(depth[k], depth[k + 1]) + 1
-            if isinstance(element, Beamsplitter):
-                kind, value = 2 + bool(element.conjugate), None
-            else:
-                kind, value = 4, _angles(element, element.thetas, "thetas", n_p, 2)
-        else:
-            raise TypeError(f"unknown circuit element type: {type(element).__name__}")
-        keys[kind].append(layer * stride + k)
-        values[kind].append(value)
+    keys, values, _ = _walk(circuit)
 
     groups = []  # (layer, first row of each element, blocks or the one shared block)
     builders = (

@@ -26,12 +26,7 @@ from .circuits import Beamsplitter, CSBlock, InternalOp, ModeSpace, PhaseBlock, 
 from .costs import cost_report
 from .csd import csd
 from .decompose import decompose, decompose_stage1
-from .errors import (
-    CircuitFormatError,
-    DimensionError,
-    MatrixFormatError,
-    UnitarityError,
-)
+from .errors import CircuitFormatError, DimensionError, MatrixFormatError, UnitarityError
 from .linalg import haar_random_unitary, load_matrix, save_matrix
 from .serialization import deserialize, serialize
 
@@ -120,11 +115,8 @@ def _counts_line(circuit) -> str:
     counts = Counter(type(e) for e in circuit.elements)
     if counts[CSBlock]:
         return f"internal={counts[InternalOp]} cs_blocks={counts[CSBlock]}"
-    return (
-        f"beamsplitters={counts[Beamsplitter]} "
-        f"internal={counts[InternalOp]} "
-        f"phase_blocks={counts[PhaseBlock]}"
-    )
+    beamsplitters, internal, phase_blocks = counts[Beamsplitter], counts[InternalOp], counts[PhaseBlock]
+    return f"beamsplitters={beamsplitters} internal={internal} phase_blocks={phase_blocks}"
 
 
 def _cmd_decompose(args) -> int:

@@ -61,12 +61,7 @@ def _report(space: ModeSpace, beamsplitters: int, arbitrary: int, phase_blocks: 
 def cost_report(space: ModeSpace) -> CostReport:
     """Predicted element counts and ratios for a full decomposition."""
     n_s = space.n_s
-    return _report(
-        space,
-        beamsplitters=n_s * (n_s - 1),
-        arbitrary=n_s**2,
-        phase_blocks=n_s * (n_s - 1),
-    )
+    return _report(space, beamsplitters=n_s * (n_s - 1), arbitrary=n_s**2, phase_blocks=n_s * (n_s - 1))
 
 
 def audit_circuit(circuit: Circuit) -> CostReport:

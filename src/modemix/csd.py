@@ -99,12 +99,7 @@ def block_partition(u, m: int):
     dim = u.shape[0]
     if not 1 <= m < dim:
         raise DimensionError(f"block size m={m} must satisfy 1 <= m < {dim}")
-    return (
-        u[:m, :m].copy(),
-        u[:m, m:].copy(),
-        u[m:, :m].copy(),
-        u[m:, m:].copy(),
-    )
+    return u[:m, :m].copy(), u[:m, m:].copy(), u[m:, :m].copy(), u[m:, m:].copy()
 
 
 def csd(u, m: int) -> CSDResult:

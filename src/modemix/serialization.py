@@ -10,38 +10,33 @@ tagged by ``kind``:
     {"kind": "cs_block", "spatial_pair": [k, k+1], "thetas": [...]}
 
 The writer puts the header on the first line and each element on a line
-of its own. numpy turns every value into a Python float, which JSON writes
-with ``repr`` precision, so a serialize/deserialize round trip is
-bit-exact. Complex matrix entries are [re, im] pairs, the memory layout of
-one complex128. The writer refuses what the reader refuses: an index or
-pair the walker's checks refuse, a value of the wrong shape for ``n_p``, a
-non-unitary internal matrix and a value that is not finite.
+of its own. It checks the circuit with the walker's own pass, ``_walk``,
+which ``reconstruct`` runs too, and then writes by kind: one line template
+per kind with ``%r`` float slots, the text ``json`` writes, filled from one
+element's floats at a time, and one finiteness check per kind. Floats are
+written with ``repr`` precision, so a round trip is bit-exact. Complex
+matrix entries are [re, im] pairs, the memory layout of one complex128.
 
-The reader checks the numeric fields of each element kind as one stack
-(fixed shape, JSON numbers only, all finite), each index and pair with the
-walker's own checks and all internal matrices for unitarity in one call. It
-rejects unknown versions; silent misreads are worse than failures. Both
-dispatch on element kind through one table, ``_ROWS``.
+Writer and reader refuse the same documents, and of several faults both
+report an index before a value. The reader checks each kind's numeric
+fields as one stack (fixed shape, JSON numbers only, all finite), each
+index and pair with the walker's own checks and all internal matrices for
+unitarity in one call. It rejects unknown versions; silent misreads are
+worse than failures. Both take each kind's keys from one table, ``_ROWS``.
 """
 
 from __future__ import annotations
 
 import json
-import operator
 
 import numpy as np
 
 from .circuits import Beamsplitter, Circuit, CSBlock, InternalOp, ModeSpace, PhaseBlock
-from .circuits import _check_mode, _check_pair
-from .errors import CircuitFormatError, DimensionError, UnsupportedVersionError
+from .circuits import BEAMSPLITTER, CONJUGATE, CS, INTERNAL, PHASE, _KINDS, _check_mode, _check_pair, _walk
+from .errors import CircuitFormatError, UnsupportedVersionError
 from .linalg import require_unitary
 
 FORMAT_VERSION = "1"
-# NaN and infinity are not JSON (RFC 8259), so the writer raises ValueError
-# on them. One encoder serves every call; json.dumps would build one per call.
-# The writer builds each object afresh from numbers, so none can contain
-# itself, and the encoder need not track the containers it is inside.
-_ENCODER = json.JSONEncoder(allow_nan=False, check_circular=False)
 
 
 # One row per element class: the class, its file kind, its index key and its value key.
@@ -51,56 +46,60 @@ _ROWS = (
     (PhaseBlock, "phase_block", "spatial_index", "phases"),
     (CSBlock, "cs_block", "spatial_pair", "thetas"),
 )
-# The writer reads an element's two fields in the order its dataclass declares
-# them: the spatial index or pair, then the value.
-_BY_CLASS = {row[0]: (*row[1:], operator.attrgetter(*row[0].__match_args__)) for row in _ROWS}
 _BY_KIND = {row[1]: row for row in _ROWS}
+# The writer's row for each of the walker's kind codes; both beamsplitter codes share one.
+_BY_CODE = {_KINDS[row[0]]: row for row in _ROWS}
+_BY_CODE[CONJUGATE] = _BY_CODE[BEAMSPLITTER]
 
 
-def _element_to_obj(element, space: ModeSpace, matrices: list) -> dict:
-    """JSON object of one element; its internal matrix goes to ``matrices``."""
-    row = _BY_CLASS.get(type(element))
-    if row is None:
-        raise TypeError(f"unknown circuit element type: {type(element).__name__}")
-    kind, index_key, value_key, fields = row
-    index, value = fields(element)
-    # The walker's checks return the index or pair as Python ints.
-    if index_key == "spatial_index":
-        index = _check_mode(index, space)
-    else:
-        index = _check_pair(index, space)  # the encoder writes a tuple as an array
+def _template(code: int, n_p: int) -> str:
+    """One kind's line: %d slots for the index or pair, %r slots (``json``'s float text) for floats."""
+    _, kind, index_key, value_key = _BY_CODE[code]
+    index = "%d" if index_key == "spatial_index" else "[%d, %d]"
     if value_key == "conjugate":
-        return {"kind": kind, index_key: index, value_key: bool(value)}
-    n_p = space.n_p
-    if value_key == "matrix":
-        array, shape = np.ascontiguousarray(value, dtype=complex), (n_p, n_p)
-        matrices.append(array)
-        value = array.view(float).reshape(*array.shape, 2)
+        value = "true" if code == CONJUGATE else "false"
+    elif value_key == "matrix":  # each complex entry as an [re, im] pair
+        value = "[%s]" % ", ".join(["[%s]" % ", ".join(["[%r, %r]"] * n_p)] * n_p)
     else:
-        array = value = np.asarray(value, dtype=float)
-        shape = (n_p,)
-    if array.shape != shape:
-        raise DimensionError(
-            f"{type(element).__name__} needs {value_key} of shape {shape}, got shape {array.shape}"
-        )
-    return {"kind": kind, index_key: index, value_key: value.tolist()}
+        value = "[%s]" % ", ".join(["%r"] * n_p)
+    return f'{{"kind": "{kind}", "{index_key}": {index}, "{value_key}": {value}}}'
+
+
+def _lines(code: int, keys: list, values: list, space: ModeSpace):
+    """The lines of one kind's elements in document order, once their values are checked."""
+    _, kind, index_key, value_key = _BY_CODE[code]
+    count, firsts = len(keys), (key % (space.n_s + 1) for key in keys)
+    heads = ((k,) for k in firsts) if index_key == "spatial_index" else ((k, k + 1) for k in firsts)
+    stack = np.empty((count, 0)) if value_key == "conjugate" else np.array(values)
+    if not np.isfinite(stack).all():
+        raise ValueError(f"{kind} values must be finite; NaN and infinity are not JSON compliant")
+    if value_key == "matrix":
+        require_unitary(stack, "an internal operation")
+        stack = stack.view(float).reshape(count, -1)
+    # One element's index and floats at a time: no whole kind's list of them is held.
+    rows = ((*head, *row.tolist()) for head, row in zip(heads, stack))
+    return map(_template(code, space.n_p).__mod__, rows)
 
 
 def serialize(circuit: Circuit) -> str:
     """Render a circuit as a JSON document: the header line, then one element per line.
 
-    Refuses what ``deserialize`` would refuse: ``DimensionError`` for an
-    index or pair the walker refuses or a value of the wrong shape for
-    ``n_p``, ``TypeError`` for an index that is not an integer,
-    ``UnitarityError`` if any internal operation is not unitary and
-    ``ValueError`` for a value that is not finite.
+    Refuses what ``deserialize`` would refuse, an index before a value: first
+    the walker's ``TypeError`` or ``DimensionError`` for the first faulty
+    element in document order, then ``ValueError`` for a value that is not
+    finite and ``UnitarityError`` if any internal operation is not unitary.
     """
-    space, matrices = circuit.space, []
-    header = _ENCODER.encode({"format_version": FORMAT_VERSION, "n_s": space.n_s, "n_p": space.n_p})
-    elements = ",\n".join([_ENCODER.encode(_element_to_obj(e, space, matrices)) for e in circuit.elements])
-    if matrices:
-        require_unitary(matrices, "an internal operation")
-    return f'{header[:-1]}, "elements": [\n{elements}]}}\n'
+    keys, values, sequence = _walk(circuit)
+    space, lines = circuit.space, {}
+    # Internal ops last, so that every kind is checked finite before any op for unitarity.
+    for code in (CS, CONJUGATE, BEAMSPLITTER, PHASE, INTERNAL):
+        if keys[code]:
+            lines[code] = _lines(code, keys[code], values[code], space)
+    elements = [next(lines[code]) for code in sequence]
+    lines.clear()  # so that no value stack outlives its lines into the join
+    elements = ",\n".join(elements)
+    header = f'{{"format_version": "{FORMAT_VERSION}", "n_s": {space.n_s}, "n_p": {space.n_p}'
+    return f'{header}, "elements": [\n{elements}]}}\n'
 
 
 def _require(condition: bool, message: str) -> None:

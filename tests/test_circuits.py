@@ -402,3 +402,23 @@ class TestValueShapes:
             reconstruct(circuit)
         with pytest.raises(DimensionError):
             serialize(circuit)
+
+
+class TestExactKinds:
+    """Elements are dispatched on exact type: a subclass is no kind of the file format."""
+
+    @pytest.mark.parametrize(
+        "base,args",
+        [
+            (InternalOp, (1, np.eye(1))),
+            (PhaseBlock, (1, np.zeros(1))),
+            (Beamsplitter, ((1, 2),)),
+            (CSBlock, ((1, 2), np.zeros(1))),
+        ],
+    )
+    def test_subclass_is_refused_by_every_walk(self, base, args):
+        element = type("Op", (base,), {})(*args)
+        space = ModeSpace(2, 1)
+        for walk in (reconstruct, lambda c: embed(c.elements[0], space), serialize):
+            with pytest.raises(TypeError, match="^unknown circuit element type: Op$"):
+                walk(Circuit(space, [element]))

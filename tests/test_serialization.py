@@ -1,5 +1,7 @@
 import dataclasses
+import re
 import json
+import operator
 import sys
 
 import numpy as np
@@ -187,6 +189,13 @@ class TestRoundTrip:
     def test_numpy_integer_mode_counts_round_trip(self):
         circuit = Circuit(ModeSpace(np.int64(2), np.int64(1)), [Beamsplitter((1, 2))])
         assert deserialize(serialize(circuit)).space == ModeSpace(2, 1)
+
+    def test_mode_count_beyond_any_list_round_trips(self):
+        # The walk keeps per-mode state only for the modes its elements touch.
+        circuit = Circuit(ModeSpace(10**400, 1), [Beamsplitter((1, 2)), PhaseBlock(10**400, np.zeros(1))])
+        text = serialize(circuit)
+        assert text == oracle_serialize(circuit)
+        assert serialize(deserialize(text)) == text
 
     def test_double_round_trip_is_stable(self):
         space = ModeSpace(2, 3)
@@ -510,3 +519,176 @@ class TestSeveralOffenders:
         # Within a kind a type fault is reported before any range fault.
         phase_blocks[-1]["spatial_index"] = True
         assert reader_message(CircuitFormatError) == "spatial_index must be an integer"
+
+
+# The writer as it was before per-kind line templates, kept as the byte oracle:
+# one JSON object and one encode call per element.
+_ORACLE_ENCODER = json.JSONEncoder(allow_nan=False, check_circular=False)
+
+
+def oracle_element(element):
+    if isinstance(element, InternalOp):
+        array = np.ascontiguousarray(element.matrix, dtype=complex)
+        matrix = array.view(float).reshape(*array.shape, 2).tolist()
+        return {"kind": "internal", "spatial_index": operator.index(element.mode), "matrix": matrix}
+    if isinstance(element, PhaseBlock):
+        phases = np.asarray(element.phases, dtype=float).tolist()
+        return {"kind": "phase_block", "spatial_index": operator.index(element.mode), "phases": phases}
+    pair = list(map(operator.index, element.pair))
+    if isinstance(element, Beamsplitter):
+        return {"kind": "beamsplitter", "spatial_pair": pair, "conjugate": bool(element.conjugate)}
+    thetas = np.asarray(element.thetas, dtype=float).tolist()
+    return {"kind": "cs_block", "spatial_pair": pair, "thetas": thetas}
+
+
+def oracle_serialize(circuit):
+    space = circuit.space
+    header = _ORACLE_ENCODER.encode({"format_version": "1", "n_s": space.n_s, "n_p": space.n_p})
+    elements = ",\n".join([_ORACLE_ENCODER.encode(oracle_element(e)) for e in circuit.elements])
+    return f'{header[:-1]}, "elements": [\n{elements}]}}\n'
+
+
+class TestByteOracle:
+    """serialize writes, byte for byte, what one encode call per element object writes."""
+
+    @given(circuit=random_circuits())
+    @settings(max_examples=100, deadline=None)
+    def test_random_circuits(self, circuit):
+        assert serialize(circuit) == oracle_serialize(circuit)
+
+    @pytest.mark.parametrize("n_s,n_p", [(1, 4), (2, 1), (3, 2), (5, 3), (16, 1), (8, 16), (2, 128)])
+    @pytest.mark.parametrize("compile_", [decompose, decompose_stage1])
+    def test_compiled_circuits(self, n_s, n_p, compile_):
+        space = ModeSpace(n_s, n_p)
+        circuit = compile_(haar_random_unitary(space.dim, n_s + n_p), space)
+        assert serialize(circuit) == oracle_serialize(circuit)
+
+    def test_edge_floats_and_both_flags(self):
+        edge = np.array([-0.0, 5e-324, 2.5e-320, 1e308, -1e308])
+        matrix = np.diag([complex(-0.0, 1.0), complex(1.0, -0.0), -1.0, 1j, complex(1, 5e-324) / abs(1 + 0j)])
+        circuit = Circuit(
+            ModeSpace(3, 5),
+            [
+                PhaseBlock(1, edge),
+                Beamsplitter((1, 2), True),
+                CSBlock((2, 3), -edge[::-1]),
+                InternalOp(3, matrix),
+                Beamsplitter((2, 3), False),
+                PhaseBlock(np.int64(2), list(edge[::-1])),
+            ],
+        )
+        assert serialize(circuit) == oracle_serialize(circuit)
+
+
+class TestWriterFaultOrder:
+    """The writer reports an index before a value, as the reader does."""
+
+    def circuit(self):
+        return decompose(haar_random_unitary(6, 5), ModeSpace(3, 2))
+
+    def test_a_later_index_fault_comes_before_an_earlier_value_fault(self):
+        circuit = self.circuit()
+        nan = PhaseBlock(1, np.array([0.0, np.nan]))
+        late = Beamsplitter((3, 4))
+        spoiled = Circuit(circuit.space, [nan, *circuit.elements, late])
+        with pytest.raises(DimensionError) as caught:
+            reconstruct(Circuit(circuit.space, [late]))
+        with pytest.raises(DimensionError, match=f"^{re.escape(str(caught.value))}$"):
+            serialize(spoiled)
+
+    def test_value_faults_alone(self):
+        circuit = self.circuit()
+        nan = PhaseBlock(1, np.array([0.0, np.nan]))
+        with pytest.raises(ValueError, match="not JSON compliant") as caught:
+            serialize(Circuit(circuit.space, [*circuit.elements, nan]))
+        assert type(caught.value) is ValueError
+        infinite = InternalOp(2, np.array([[np.inf, 0], [0, 1]]))
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            serialize(Circuit(circuit.space, [infinite, *circuit.elements]))
+        skewed = InternalOp(2, np.array([[1, 0], [0, 1.5]]))
+        with pytest.raises(UnitarityError):
+            serialize(Circuit(circuit.space, [*circuit.elements, skewed]))
+        # As in the reader, a value that is not finite comes before one that is not unitary.
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            serialize(Circuit(circuit.space, [skewed, *circuit.elements, nan]))
+
+    def test_one_unitarity_check_per_circuit(self, monkeypatch):
+        circuit = decompose(haar_random_unitary(16, 2), ModeSpace(16, 1))
+        linalg = sys.modules["modemix.linalg"]
+        calls = []
+        counted = linalg.unitarity_defect
+        monkeypatch.setattr(linalg, "unitarity_defect", lambda m: calls.append(1) or counted(m))
+        serialize(circuit)
+        assert len(calls) == 1
+
+    def test_of_two_index_offenders_the_first_is_named(self):
+        circuit = self.circuit()
+        elements = list(circuit.elements)
+        elements[7] = dataclasses.replace(elements[7], **self.spoil(elements[7], 0))
+        elements[3] = dataclasses.replace(elements[3], **self.spoil(elements[3], 9))
+        with pytest.raises(DimensionError) as caught:
+            reconstruct(Circuit(circuit.space, [elements[3]]))
+        with pytest.raises(DimensionError, match=f"^{re.escape(str(caught.value))}$"):
+            serialize(Circuit(circuit.space, elements))
+
+    @staticmethod
+    def spoil(element, k):
+        return {"pair": (k, k + 1)} if hasattr(element, "pair") else {"mode": k}
+
+
+# The reader's four error classes; anything else escaping deserialize is a bug.
+READER_ERRORS = (CircuitFormatError, UnsupportedVersionError, DimensionError, UnitarityError)
+# Values that each break some field of a circuit document, or of its header.
+SPOIL_VALUES = [
+    None, True, False, 0, -1, 1, 2, 4, 1.5, 10**400, -(10**400), "1", "", [], [1], [1, 2], [1, 2, 3],
+    [[1, 0]], [0.5, "x"], [[[1, 0]]], {}, {"kind": "internal"}, "internal", "cs_block", "beamsplitter",
+]
+
+
+def spoiled_documents(text, rng, count):
+    """``count`` one-fault variants of a circuit document, drawn from ``rng``."""
+    keys = ("kind", "spatial_index", "spatial_pair", "matrix", "phases", "thetas", "conjugate")
+    for _ in range(count):
+        spoiled, where = json.loads(text), rng.integers(8)
+        spoil = SPOIL_VALUES[rng.integers(len(SPOIL_VALUES))]
+        if where == 0:  # the header
+            spoiled[str(rng.choice(["format_version", "n_s", "n_p", "elements"]))] = spoil
+        elif where == 1:  # the text itself
+            cut = int(rng.integers(len(text)))
+            yield text[:cut] + str(rng.choice(["", "]", "}", ",", "x", "NaN", "1e999"])) + text[cut + 1 :]
+            continue
+        else:
+            element = spoiled["elements"][rng.integers(len(spoiled["elements"]))]
+            key = str(rng.choice(keys))
+            if where == 2:
+                element.pop(key, None)
+            elif where == 3 and isinstance(element.get(key), list):
+                nested = element[key]  # one leaf deep inside an array
+                while isinstance(nested[0], list):
+                    nested = nested[rng.integers(len(nested))]
+                nested[rng.integers(len(nested))] = spoil
+            else:
+                element[key] = spoil
+        yield json.dumps(spoiled)
+
+
+class TestSpoiledDocumentFuzz:
+    """Seeded one-fault documents: a reader error or a file that round-trips."""
+
+    def test_reader_errors_only_and_stable_round_trips(self):
+        outcomes = set()
+        for seed, (n_s, n_p) in enumerate([(3, 2), (4, 1)]):
+            space = ModeSpace(n_s, n_p)
+            text = serialize(decompose(haar_random_unitary(space.dim, seed), space))
+            for spoiled in spoiled_documents(text, np.random.default_rng(seed), 400):
+                try:
+                    circuit = deserialize(spoiled)
+                except READER_ERRORS as exc:
+                    outcomes.add(type(exc))
+                    continue
+                written = serialize(circuit)
+                restored = deserialize(written)
+                assert_bit_identical(circuit.elements, restored.elements)
+                assert serialize(restored) == written
+                outcomes.add("read")
+        assert outcomes == {*READER_ERRORS, "read"}  # the generator reaches every outcome
