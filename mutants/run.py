@@ -150,8 +150,8 @@ MUTANTS = [
     (
         "the writer writes a pair as [k, k]",
         SERIALIZATION,
-        "((k, k + 1) for k in firsts)",
-        "((k, k) for k in firsts)",
+        "((k, k + 1) for k in modes)",
+        "((k, k) for k in modes)",
         ["tests/test_serialization.py"],
     ),
     (
@@ -160,6 +160,41 @@ MUTANTS = [
         "kind = _KINDS.get(type(element))",
         "kind = next((code for cls, code in _KINDS.items() if isinstance(element, cls)), None)",
         ["tests/test_circuits.py"],
+    ),
+    (
+        "the walk records the mode after each element's first spatial mode",
+        CIRCUITS,
+        "modes[kind].append(k)",
+        "modes[kind].append(k + 1)",
+        ["tests/test_circuits.py"],
+    ),
+    (
+        "reconstruct sorts each kind's elements by mode before layer",
+        CIRCUITS,
+        "np.lexsort((firsts, group_layers))",
+        "np.lexsort((group_layers, firsts))",
+        ["tests/test_circuits.py"],
+    ),
+    (
+        "audit_circuit drops conjugate beamsplitters from its count",
+        "src/modemix/costs.py",
+        "counts[BEAMSPLITTER] + counts[CONJUGATE]",
+        "counts[BEAMSPLITTER]",
+        ["tests/test_costs.py"],
+    ),
+    (
+        "the CLI counts line drops conjugate beamsplitters",
+        "src/modemix/cli.py",
+        "beamsplitters = counts[BEAMSPLITTER] + counts[CONJUGATE]",
+        "beamsplitters = counts[BEAMSPLITTER]",
+        ["tests/test_cli.py"],
+    ),
+    (
+        "stage 1 takes each wave's blocks one column block to the right",
+        "src/modemix/decompose.py",
+        "band[..., : w * n_p]",
+        "band[..., n_p : (w + 1) * n_p]",
+        ["tests/test_decompose.py"],
     ),
     (
         "stage 1 puts step (c, r) in wave (n_s - r) + (c - 1)",

@@ -11,9 +11,9 @@ first, so in the matrix product ``elements[-1]`` is the leftmost factor.
 
 from __future__ import annotations
 
+import heapq
 import operator
 from collections import defaultdict
-from operator import itemgetter
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -21,6 +21,7 @@ import numpy as np
 
 from .csd import cs_matrix
 from .errors import DimensionError
+from .linalg import _require_fits
 
 # Balanced 50:50 beamsplitter acting on a pair of spatial modes.
 BEAMSPLITTER_2 = np.array([[1, 1j], [1j, 1]], dtype=complex) / np.sqrt(2)
@@ -159,19 +160,19 @@ INTERNAL, PHASE, BEAMSPLITTER, CONJUGATE, CS = range(5)
 _KINDS = {InternalOp: INTERNAL, PhaseBlock: PHASE, Beamsplitter: BEAMSPLITTER, CSBlock: CS}
 
 
-def _walk(circuit: Circuit) -> tuple[list, list, list]:
-    """The one checking pass, in document order, that ``reconstruct`` and ``serialize`` share.
+def _walk(circuit: Circuit) -> tuple[list, list, list, list]:
+    """The one checking pass, in document order: ``reconstruct``, ``serialize`` and the counts read it.
 
     Checks each element's type, index or pair and value shape, and layers it
-    after every earlier element on its spatial modes. Returns, in document
-    order, the keys ``layer * (n_s + 1) + first mode`` and the values (None
-    for a beamsplitter) of each kind code, and every element's kind code.
+    after every earlier element on its spatial modes. Returns, for each kind
+    code in document order, the first spatial modes and the layers as Python
+    ints and the values (None for a beamsplitter), then every kind code.
     """
     space = circuit.space
-    n_p, stride = space.n_p, space.n_s + 1
+    n_p = space.n_p
     depth = defaultdict(int)  # deepest layer on each mode met; a list would take O(n_s)
-    # Python ints, unlike tuples, add no work for the cyclic garbage collector.
-    keys, values, sequence = [[] for _ in range(5)], [[] for _ in range(5)], []
+    modes, layers, values = ([[] for _ in range(5)] for _ in range(3))
+    sequence = []
     for element in circuit.elements:
         kind = _KINDS.get(type(element))
         if kind is None:
@@ -192,10 +193,11 @@ def _walk(circuit: Circuit) -> tuple[list, list, list]:
                 value = _angles(element, element.thetas, "thetas", n_p, 2)
             else:
                 kind, value = BEAMSPLITTER + bool(element.conjugate), None
-        keys[kind].append(layer * stride + k)
+        modes[kind].append(k)
+        layers[kind].append(layer)
         values[kind].append(value)
         sequence.append(kind)
-    return keys, values, sequence
+    return modes, layers, values, sequence
 
 
 def reconstruct(circuit: Circuit) -> np.ndarray:
@@ -209,11 +211,11 @@ def reconstruct(circuit: Circuit) -> np.ndarray:
     else gather and scatter. The result is bit for bit that of applying the
     elements one at a time; an empty circuit gives the identity.
     """
-    space = circuit.space
-    n_p, dim, stride = space.n_p, space.dim, space.n_s + 1
-    keys, values, _ = _walk(circuit)
+    n_p, dim = circuit.space.n_p, circuit.space.dim
+    modes, layers, values, _ = _walk(circuit)
+    _require_fits(dim)  # and so every mode and row index fits an intp
 
-    groups = []  # (layer, first row of each element, blocks or the one shared block)
+    runs = []  # each kind's groups in layer order: (layer, first rows, blocks or the one shared block)
     builders = (
         np.array,
         lambda phases: _phase_blocks(np.array(phases), n_p),
@@ -221,20 +223,19 @@ def reconstruct(circuit: Circuit) -> np.ndarray:
         lambda _: _kron_eye(BEAMSPLITTER_2.conj().T, n_p),
         lambda thetas: cs_matrix(np.array(thetas), 2 * n_p),
     )
-    for kind_keys, kind_values, build in zip(keys, values, builders):
-        if not kind_keys:
+    for kind_modes, kind_layers, kind_values, build in zip(modes, layers, values, builders):
+        if not kind_modes:
             continue
-        kind_keys = np.array(kind_keys)
-        order = np.argsort(kind_keys)
-        layers, firsts = np.divmod(kind_keys[order], stride)
-        starts = ((firsts - 1) * n_p).tolist()
+        firsts, group_layers = np.array([kind_modes, kind_layers], dtype=np.intp)
+        order = np.lexsort((firsts, group_layers))
+        group_layers, starts = group_layers[order], ((firsts[order] - 1) * n_p).tolist()
         blocks = build([kind_values[i] for i in order.tolist()])
-        bounds = [0, *(np.flatnonzero(np.diff(layers)) + 1).tolist(), len(order)]
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            groups.append((layers[a], starts[a:b], blocks if blocks.ndim == 2 else blocks[a:b]))
+        bounds = [0, *(np.flatnonzero(np.diff(group_layers)) + 1).tolist(), len(order)]
+        runs.append([(group_layers[a], starts[a:b], blocks if blocks.ndim == 2 else blocks[a:b])
+                     for a, b in zip(bounds, bounds[1:])])
 
     out = np.eye(dim, dtype=complex)
-    for _, starts, blocks in sorted(groups, key=itemgetter(0)):
+    for _, starts, blocks in heapq.merge(*runs, key=operator.itemgetter(0)):
         g, width, first = len(starts), blocks.shape[-1], starts[0]
         if starts[-1] - first == (g - 1) * width:  # the group tiles one band of rows
             band = out[first : first + g * width].reshape(g, width, dim)

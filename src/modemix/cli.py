@@ -22,7 +22,7 @@ from collections import Counter
 
 import numpy as np
 
-from .circuits import Beamsplitter, CSBlock, InternalOp, ModeSpace, PhaseBlock, reconstruct
+from .circuits import BEAMSPLITTER, CONJUGATE, CS, INTERNAL, PHASE, ModeSpace, _walk, reconstruct
 from .costs import cost_report
 from .csd import csd
 from .decompose import decompose, decompose_stage1
@@ -112,11 +112,11 @@ def _tolerance_ok(tol: float) -> None:
 
 
 def _counts_line(circuit) -> str:
-    counts = Counter(type(e) for e in circuit.elements)
-    if counts[CSBlock]:
-        return f"internal={counts[InternalOp]} cs_blocks={counts[CSBlock]}"
-    beamsplitters, internal, phase_blocks = counts[Beamsplitter], counts[InternalOp], counts[PhaseBlock]
-    return f"beamsplitters={beamsplitters} internal={internal} phase_blocks={phase_blocks}"
+    counts = Counter(_walk(circuit)[-1])
+    if counts[CS]:
+        return f"internal={counts[INTERNAL]} cs_blocks={counts[CS]}"
+    beamsplitters = counts[BEAMSPLITTER] + counts[CONJUGATE]
+    return f"beamsplitters={beamsplitters} internal={counts[INTERNAL]} phase_blocks={counts[PHASE]}"
 
 
 def _cmd_decompose(args) -> int:

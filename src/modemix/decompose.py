@@ -20,7 +20,6 @@ n_s(n_s-1) beamsplitters and n_s(n_s-1) phase blocks after stage 2.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .circuits import Beamsplitter, Circuit, CSBlock, InternalOp, ModeSpace, PhaseBlock
 from .csd import csd_stack
@@ -76,15 +75,14 @@ def decompose_stage1(u, space: ModeSpace) -> Circuit:
     order = np.argsort(wave, kind="stable")
     ends = np.cumsum(np.bincount(wave)).tolist()
     for start, end in zip([0] + ends, ends):
-        # Across a wave c steps by 1 and r by 2, so its row pairs tile one
-        # band, and the wave's s-th step nulls the band's s-th column block.
+        # Across a wave c steps by 1 and r by 2, so its row pairs tile one band,
+        # and step s nulls column block s: the steps' blocks are a diagonal view.
         # Left of that block its rows hold nulled blocks, read by nothing.
         steps, w = order[start:end], end - start
         c0, r0 = c[steps[0]], r[steps[0]]
         band = u[(r0 - 2) * n_p : (r0 - 2 + 2 * w) * n_p, (c0 - 1) * n_p :].reshape(w, 2 * n_p, -1)
-        s0, s1, s2 = band.strides
-        blocks = as_strided(band, (w, 2 * n_p, n_p), (s0 + n_p * s2, s1, s2), writeable=False)
-        q, _ = np.linalg.qr(blocks, mode="complete")
+        blocks = np.diagonal(band[..., : w * n_p].reshape(w, 2 * n_p, w, n_p), axis1=0, axis2=2)
+        q, _ = np.linalg.qr(blocks.transpose(2, 0, 1), mode="complete")
         band[...] = q.conj().swapaxes(1, 2) @ band
         modes[slot[steps]], unitaries[slot[steps]] = r[steps] - 1, q
     modes[0], unitaries[0] = n_s - 1, u[-2 * n_p :, -2 * n_p :]
@@ -138,8 +136,5 @@ def decompose(u, space: ModeSpace) -> Circuit:
     stage1 = decompose_stage1(u, space)
     elements = []
     for element in stage1.elements:
-        if isinstance(element, CSBlock):
-            elements.extend(expand_cs_block(element))
-        else:
-            elements.append(element)
+        elements += expand_cs_block(element) if isinstance(element, CSBlock) else [element]
     return Circuit(space, elements)

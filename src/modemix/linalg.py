@@ -30,6 +30,12 @@ def _as_stack(a) -> np.ndarray:
     return m
 
 
+def _require_fits(dim: int) -> None:
+    """Raise ``DimensionError`` past numpy's limit on a dim x dim complex array: 759,250,124 on 64 bits."""
+    if dim > math.isqrt(np.iinfo(np.intp).max // 16):
+        raise DimensionError(f"dimension {dim} is too large for a {dim}x{dim} complex array")
+
+
 def unitarity_defect(m) -> float:
     """Largest absolute entry of M†M - 1 for a square matrix M, or over a stack of them."""
     m = _as_stack(m)
@@ -72,8 +78,7 @@ def haar_random_unitary(dim: int, seed: int) -> np.ndarray:
     """
     if dim < 1:
         raise DimensionError(f"dimension must be at least 1, got {dim}")
-    if dim > math.isqrt(np.iinfo(np.intp).max // 16):  # numpy's limit on an array's bytes
-        raise DimensionError(f"dimension {dim} is too large for a {dim}x{dim} complex array")
+    _require_fits(dim)
     rng = np.random.default_rng(seed)
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
     q, r = np.linalg.qr(z)

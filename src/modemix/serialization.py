@@ -10,12 +10,12 @@ tagged by ``kind``:
     {"kind": "cs_block", "spatial_pair": [k, k+1], "thetas": [...]}
 
 The writer puts the header on the first line and each element on a line
-of its own. It checks the circuit with the walker's own pass, ``_walk``,
-which ``reconstruct`` runs too, and then writes by kind: one line template
-per kind with ``%r`` float slots, the text ``json`` writes, filled from one
-element's floats at a time, and one finiteness check per kind. Floats are
-written with ``repr`` precision, so a round trip is bit-exact. Complex
-matrix entries are [re, im] pairs, the memory layout of one complex128.
+of its own. It checks the circuit with ``_walk``, which ``reconstruct``
+and the counts run too, and writes the walk's modes by kind: one line
+template per kind with ``%r`` float slots, the text ``json`` writes,
+filled from one element's floats at a time, and one finiteness check per
+kind. Floats are written with ``repr`` precision, so a round trip is
+bit-exact. Complex matrix entries are [re, im] pairs, as complex128 holds them.
 
 Writer and reader refuse the same documents, and of several faults both
 report an index before a value. The reader checks each kind's numeric
@@ -65,20 +65,19 @@ def _template(code: int, n_p: int) -> str:
     return f'{{"kind": "{kind}", "{index_key}": {index}, "{value_key}": {value}}}'
 
 
-def _lines(code: int, keys: list, values: list, space: ModeSpace):
+def _lines(code: int, modes: list, values: list, n_p: int):
     """The lines of one kind's elements in document order, once their values are checked."""
     _, kind, index_key, value_key = _BY_CODE[code]
-    count, firsts = len(keys), (key % (space.n_s + 1) for key in keys)
-    heads = ((k,) for k in firsts) if index_key == "spatial_index" else ((k, k + 1) for k in firsts)
-    stack = np.empty((count, 0)) if value_key == "conjugate" else np.array(values)
+    heads = ((k,) for k in modes) if index_key == "spatial_index" else ((k, k + 1) for k in modes)
+    stack = np.empty((len(modes), 0)) if value_key == "conjugate" else np.array(values)
     if not np.isfinite(stack).all():
         raise ValueError(f"{kind} values must be finite; NaN and infinity are not JSON compliant")
     if value_key == "matrix":
         require_unitary(stack, "an internal operation")
-        stack = stack.view(float).reshape(count, -1)
+        stack = stack.view(float).reshape(len(stack), -1)
     # One element's index and floats at a time: no whole kind's list of them is held.
     rows = ((*head, *row.tolist()) for head, row in zip(heads, stack))
-    return map(_template(code, space.n_p).__mod__, rows)
+    return map(_template(code, n_p).__mod__, rows)
 
 
 def serialize(circuit: Circuit) -> str:
@@ -89,12 +88,12 @@ def serialize(circuit: Circuit) -> str:
     element in document order, then ``ValueError`` for a value that is not
     finite and ``UnitarityError`` if any internal operation is not unitary.
     """
-    keys, values, sequence = _walk(circuit)
+    modes, _, values, sequence = _walk(circuit)
     space, lines = circuit.space, {}
     # Internal ops last, so that every kind is checked finite before any op for unitarity.
     for code in (CS, CONJUGATE, BEAMSPLITTER, PHASE, INTERNAL):
-        if keys[code]:
-            lines[code] = _lines(code, keys[code], values[code], space)
+        if modes[code]:
+            lines[code] = _lines(code, modes[code], values[code], space.n_p)
     elements = [next(lines[code]) for code in sequence]
     lines.clear()  # so that no value stack outlives its lines into the join
     elements = ",\n".join(elements)

@@ -11,9 +11,11 @@ from modemix import (
     InternalOp,
     ModeSpace,
     PhaseBlock,
+    audit_circuit,
     cs_matrix,
     decompose,
     decompose_stage1,
+    deserialize,
     embed,
     haar_random_unitary,
     reconstruct,
@@ -338,6 +340,15 @@ class TestLayeredWalker:
             one = Circuit(circuit.space, [element])
             assert_same_bits(embed(element, circuit.space), kron_oracle(one))
 
+    @pytest.mark.parametrize("n_s", [10**400, 759250125], ids=["10**400", "759250125"])
+    def test_space_too_large_for_any_array_is_named(self, n_s):
+        # 759250125 is the first n with n x n complex128 entries past numpy's bytes limit.
+        circuit = deserialize(serialize(Circuit(ModeSpace(n_s, 1), [Beamsplitter((1, 2))])))
+        message = f"^dimension {n_s} is too large for a {n_s}x{n_s} complex array$"
+        for walk in (reconstruct, lambda c: embed(c.elements[0], c.space)):
+            with pytest.raises(DimensionError, match=message):
+                walk(circuit)
+
     def test_first_fault_in_document_order_is_named(self):
         # The phase block sits in layer 3 of mode 1; the later pair would sit in layer 1.
         space = ModeSpace(3, 2)
@@ -419,6 +430,6 @@ class TestExactKinds:
     def test_subclass_is_refused_by_every_walk(self, base, args):
         element = type("Op", (base,), {})(*args)
         space = ModeSpace(2, 1)
-        for walk in (reconstruct, lambda c: embed(c.elements[0], space), serialize):
+        for walk in (reconstruct, lambda c: embed(c.elements[0], space), serialize, audit_circuit):
             with pytest.raises(TypeError, match="^unknown circuit element type: Op$"):
                 walk(Circuit(space, [element]))

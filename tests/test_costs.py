@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from modemix import (
+    Beamsplitter,
     Circuit,
     CSBlock,
+    DimensionError,
     InternalOp,
     ModeSpace,
+    PhaseBlock,
     audit_circuit,
     cost_report,
     decompose,
@@ -130,3 +133,19 @@ class TestAuditCircuit:
         assert report.internal_arbitrary == 2
         assert report.beamsplitters == 0
         assert report.internal_element_estimate == 2 * 4
+
+    def test_counts_both_beamsplitter_flags(self):
+        space = ModeSpace(3, 1)
+        elements = [Beamsplitter((1, 2)), Beamsplitter((2, 3), conjugate=True), PhaseBlock(1, np.zeros(1))]
+        elements += [Beamsplitter((1, 2), conjugate=True), Beamsplitter((2, 3))]
+        report = audit_circuit(Circuit(space, elements))
+        assert report.beamsplitters == 4
+        assert report.internal_phase_blocks == 1
+
+    def test_refuses_what_reconstruct_refuses(self):
+        # The counts come from the walk that checks elements for reconstruct and serialize.
+        space = ModeSpace(2, 1)
+        with pytest.raises(TypeError, match="^unknown circuit element type: str$"):
+            audit_circuit(Circuit(space, [InternalOp(1, np.eye(1)), "junk"]))
+        with pytest.raises(DimensionError, match="^spatial index 9 out of range 1..2$"):
+            audit_circuit(Circuit(space, [InternalOp(9, np.eye(3))]))

@@ -148,6 +148,11 @@ class TestHaarRandomUnitary:
         with pytest.raises(DimensionError):
             haar_random_unitary(0, 0)
 
+    @pytest.mark.parametrize("dim", [10**400, 759250125], ids=["10**400", "759250125"])
+    def test_rejects_dim_too_large_for_any_array(self, dim):
+        with pytest.raises(DimensionError, match=f"^dimension {dim} is too large for a {dim}x{dim} complex array$"):
+            haar_random_unitary(dim, 0)
+
 
 class TestMatrixTextFormat:
     def test_round_trip_is_exact(self):
