@@ -69,19 +69,40 @@ MUTANTS = [
         ["tests/test_circuits.py"],
     ),
     (
-        "the walker takes the band view without the tiling test",
+        "a gap in first modes does not end a group",
         CIRCUITS,
-        "if starts[-1] - first == (g - 1) * width:",
-        "if True:",
+        "(np.diff(group_layers) != 0) | (np.diff(starts) != width)",
+        "np.diff(group_layers) != 0",
         ["tests/test_circuits.py"],
     ),
     (
         "the walker applies diagonal blocks, such as phase blocks, by row scaling",
         CIRCUITS,
-        "            band[...] = blocks @ band\n",
-        "            diagonal = np.diagonal(blocks, 0, -2, -1)[..., None]\n"
-        "            diagonal_only = np.array_equal(blocks, diagonal * np.eye(width))\n"
-        "            band[...] = diagonal * band if diagonal_only else blocks @ band\n",
+        "        band[...] = blocks @ band\n",
+        "        diagonal = np.diagonal(blocks, 0, -2, -1)[..., None]\n"
+        "        diagonal_only = np.array_equal(blocks, diagonal * np.eye(width))\n"
+        "        band[...] = diagonal * band if diagonal_only else blocks @ band\n",
+        ["tests/test_circuits.py"],
+    ),
+    (
+        "one module-level beamsplitter block serves every n_p",
+        CIRCUITS,
+        "lambda _: _kron_eye(BEAMSPLITTER_2, n_p),",
+        'lambda _: globals().setdefault("_PLAIN", _kron_eye(BEAMSPLITTER_2, n_p)),',
+        ["tests/test_circuits.py"],
+    ),
+    (
+        "embed is memoised by element",
+        CIRCUITS,
+        "    return reconstruct(Circuit(space, [element]))",
+        '    return globals().setdefault(("embed", id(element)), reconstruct(Circuit(space, [element])))',
+        ["tests/test_circuits.py"],
+    ),
+    (
+        "the walk casts angles with dtype=float again",
+        CIRCUITS,
+        "angles = _numbers(element, values, name, float)",
+        "angles = np.asarray(values, dtype=float)",
         ["tests/test_circuits.py"],
     ),
     (

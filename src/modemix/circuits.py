@@ -126,9 +126,20 @@ def _block_fault(element, width: int, shape: tuple) -> DimensionError:
     return DimensionError(f"{type(element).__name__} needs a {width}x{width} block, got shape {shape}")
 
 
+def _numbers(element, values, name: str, dtype: type) -> np.ndarray:
+    """``values`` as a float or complex ``dtype`` array, cast only from numbers of a kind it holds."""
+    array = np.asarray(values)
+    if array.dtype != dtype:  # bools, text, objects and complex angles are refused, not coerced
+        if array.dtype.kind not in ("iuf" if dtype is float else "iufc"):
+            real = "real " if dtype is float else ""
+            raise TypeError(f"{type(element).__name__} {name} must be {real}numbers, got dtype {array.dtype}")
+        array = array.astype(dtype)
+    return array
+
+
 def _angles(element, values, name: str, n_p: int, span: int) -> np.ndarray:
     """The n_p angles of a phase block (span 1) or CS block (span 2) as floats."""
-    angles = np.asarray(values, dtype=float)
+    angles = _numbers(element, values, name, float)
     if angles.shape == (n_p,):
         return angles
     if angles.ndim == 1:  # named by the block that many angles would build
@@ -163,8 +174,8 @@ _KINDS = {InternalOp: INTERNAL, PhaseBlock: PHASE, Beamsplitter: BEAMSPLITTER, C
 def _walk(circuit: Circuit) -> tuple[list, list, list, list]:
     """The one checking pass, in document order: ``reconstruct``, ``serialize`` and the counts read it.
 
-    Checks each element's type, index or pair and value shape, and layers it
-    after every earlier element on its spatial modes. Returns, for each kind
+    Checks each element's type, index or pair and value type and shape, and
+    layers it after every earlier element on its spatial modes. Returns, for each kind
     code in document order, the first spatial modes and the layers as Python
     ints and the values (None for a beamsplitter), then every kind code.
     """
@@ -181,7 +192,7 @@ def _walk(circuit: Circuit) -> tuple[list, list, list, list]:
             k = _check_mode(element.mode, space)
             layer = depth[k] = depth[k] + 1
             if kind == INTERNAL:
-                value = np.asarray(element.matrix, dtype=complex)
+                value = _numbers(element, element.matrix, "matrix", complex)
                 if value.shape != (n_p, n_p):
                     raise _block_fault(element, n_p, value.shape)
             else:
@@ -206,16 +217,16 @@ def reconstruct(circuit: Circuit) -> np.ndarray:
     ``_walk`` checks and layers the elements; those of one layer act on
     disjoint rows and commute. Each kind's blocks are built in one call, in
     (layer, first mode) order; the two beamsplitter blocks, kron(B, 1) and
-    kron(B†, 1), are broadcast, not copied. Each (layer, kind) group is one
-    batched product on its rows: a band view when the group tiles one band,
-    else gather and scatter. The result is bit for bit that of applying the
-    elements one at a time; an empty circuit gives the identity.
+    kron(B†, 1), are broadcast, not copied. A group is a run of one kind's
+    elements in one layer on abutting rows, so it is one batched product on
+    one band view. The result is bit for bit that of applying the elements
+    one at a time; an empty circuit gives the identity.
     """
     n_p, dim = circuit.space.n_p, circuit.space.dim
     modes, layers, values, _ = _walk(circuit)
     _require_fits(dim)  # and so every mode and row index fits an intp
 
-    runs = []  # each kind's groups in layer order: (layer, first rows, blocks or the one shared block)
+    runs = []  # each kind's groups in layer order: (layer, first row, element count, blocks)
     builders = (
         np.array,
         lambda phases: _phase_blocks(np.array(phases), n_p),
@@ -228,21 +239,19 @@ def reconstruct(circuit: Circuit) -> np.ndarray:
             continue
         firsts, group_layers = np.array([kind_modes, kind_layers], dtype=np.intp)
         order = np.lexsort((firsts, group_layers))
-        group_layers, starts = group_layers[order], ((firsts[order] - 1) * n_p).tolist()
+        group_layers, starts = group_layers[order], (firsts[order] - 1) * n_p
         blocks = build([kind_values[i] for i in order.tolist()])
-        bounds = [0, *(np.flatnonzero(np.diff(group_layers)) + 1).tolist(), len(order)]
-        runs.append([(group_layers[a], starts[a:b], blocks if blocks.ndim == 2 else blocks[a:b])
+        width = blocks.shape[-1]  # a group ends at a new layer or at a gap between its bands
+        ends = (np.diff(group_layers) != 0) | (np.diff(starts) != width)
+        bounds = [0, *(np.flatnonzero(ends) + 1).tolist(), len(order)]
+        runs.append([(group_layers[a], starts[a], b - a, blocks if blocks.ndim == 2 else blocks[a:b])
                      for a, b in zip(bounds, bounds[1:])])
 
     out = np.eye(dim, dtype=complex)
-    for _, starts, blocks in heapq.merge(*runs, key=operator.itemgetter(0)):
-        g, width, first = len(starts), blocks.shape[-1], starts[0]
-        if starts[-1] - first == (g - 1) * width:  # the group tiles one band of rows
-            band = out[first : first + g * width].reshape(g, width, dim)
-            band[...] = blocks @ band
-        else:
-            rows = (np.array(starts)[:, None] + np.arange(width)).ravel()
-            out[rows] = (blocks @ out[rows].reshape(g, width, dim)).reshape(-1, dim)
+    for _, first, g, blocks in heapq.merge(*runs, key=operator.itemgetter(0)):
+        width = blocks.shape[-1]
+        band = out[first : first + g * width].reshape(g, width, dim)
+        band[...] = blocks @ band
     return out
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circuits import Beamsplitter, Circuit, CSBlock, InternalOp, ModeSpace, PhaseBlock
+from .circuits import Beamsplitter, Circuit, CSBlock, InternalOp, ModeSpace, PhaseBlock, _numbers
 from .csd import csd_stack
 from .errors import DimensionError
 from .linalg import require_unitary
@@ -122,7 +122,7 @@ def expand_cs_block(block: CSBlock) -> list:
     beamsplitter.
     """
     k, l = block.pair
-    thetas = np.asarray(block.thetas, dtype=float)
+    thetas = _numbers(block, block.thetas, "thetas", float)
     return [
         Beamsplitter((k, l), conjugate=True),
         PhaseBlock(k, thetas.copy()),

@@ -17,6 +17,7 @@ from modemix import (
     decompose_stage1,
     deserialize,
     embed,
+    expand_cs_block,
     haar_random_unitary,
     reconstruct,
     serialize,
@@ -295,11 +296,18 @@ class TestLayeredWalker:
         return Circuit(ModeSpace(n_s, n_p), [make[kind](index) for kind, index in specs])
 
     CASES = {
-        # The first four leave a gap in their first layer, so that group is gathered and scattered.
+        # The first six leave a gap in their first layer, so that layer splits into
+        # several groups, each a run of elements on abutting rows.
         "ops on modes 1 and 3 of 4": (4, 2, [("op", 1), ("op", 3), ("op", 1), ("phase", 3)]),
         "phases on modes 1 and 4 of 4": (4, 3, [("phase", 1), ("phase", 4), ("op", 4), ("op", 1)]),
         "pairs (1, 2) and (4, 5)": (5, 2, [("bs", (1, 2)), ("bs", (4, 5)), ("op", 2), ("op", 5)]),
         "CS pairs (1, 2) and (4, 5)": (5, 1, [("cs", (1, 2)), ("cs", (4, 5)), ("bs*", (2, 3))]),
+        "ops on modes 1, 2, 4 and 5 of 6": (
+            6, 2, [("op", 5), ("op", 1), ("op", 4), ("op", 2), ("bs", (2, 3)), ("op", 2), ("op", 4)],
+        ),
+        "pairs (1, 2), (3, 4), (6, 7) and (8, 9) of 9": (
+            9, 2, [("bs", (8, 9)), ("bs", (1, 2)), ("bs", (6, 7)), ("bs", (3, 4)), ("op", 4), ("bs*", (4, 5))],
+        ),
         "both flags in one layer": (
             4, 2, [("bs", (1, 2)), ("bs*", (3, 4)), ("bs*", (1, 2)), ("bs", (3, 4)), ("bs", (2, 3))],
         ),
@@ -413,6 +421,39 @@ class TestValueShapes:
             reconstruct(circuit)
         with pytest.raises(DimensionError):
             serialize(circuit)
+
+
+class TestValueTypes:
+    """Angles must be integer or float arrays, matrices integer, float or complex; nothing is coerced."""
+
+    @pytest.mark.parametrize(
+        "element,message",
+        [
+            (PhaseBlock(1, np.array([0.5 + 0.3j])), "PhaseBlock phases must be real numbers, got dtype complex128"),
+            (CSBlock((1, 2), [0.2 + 1j]), "CSBlock thetas must be real numbers, got dtype complex128"),
+            (PhaseBlock(1, ["0.5"]), "PhaseBlock phases must be real numbers, got dtype <U3"),
+            (PhaseBlock(1, [True]), "PhaseBlock phases must be real numbers, got dtype bool"),
+            (CSBlock((1, 2), np.array([0.1], dtype=object)), "CSBlock thetas must be real numbers, got dtype object"),
+            (InternalOp(1, [["1"]]), "InternalOp matrix must be numbers, got dtype <U1"),
+            (InternalOp(1, [[True]]), "InternalOp matrix must be numbers, got dtype bool"),
+        ],
+    )
+    def test_every_walk_refuses(self, element, message):
+        space = ModeSpace(2, 1)
+        for walk in (reconstruct, lambda c: embed(c.elements[0], space), serialize, audit_circuit):
+            with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+                walk(Circuit(space, [element]))
+
+    def test_expand_cs_block_refuses_complex_thetas(self):
+        with pytest.raises(TypeError, match=r"^CSBlock thetas must be real numbers, got dtype complex128$"):
+            expand_cs_block(CSBlock((1, 2), [0.2 + 1j]))
+
+    def test_integers_are_taken_as_numbers(self):
+        space = ModeSpace(2, 2)
+        ints = [InternalOp(1, [[0, 1], [1, 0]]), PhaseBlock(2, [1, -2]), CSBlock((1, 2), np.array([0, 1], np.uint8))]
+        floats = [InternalOp(1, [[0.0, 1.0], [1.0, 0.0]]), PhaseBlock(2, [1.0, -2.0]), CSBlock((1, 2), [0.0, 1.0])]
+        assert_same_bits(reconstruct(Circuit(space, ints)), reconstruct(Circuit(space, floats)))
+        assert serialize(Circuit(space, ints)) == serialize(Circuit(space, floats))
 
 
 class TestExactKinds:

@@ -692,3 +692,38 @@ class TestSpoiledDocumentFuzz:
                 assert serialize(restored) == written
                 outcomes.add("read")
         assert outcomes == {*READER_ERRORS, "read"}  # the generator reaches every outcome
+
+    # For each of the first 120 documents drawn for the 3x2 circuit at seed 0:
+    # deserialize's exception class, or "read", and the exit code of verify.
+    F, V, D, U, R = CircuitFormatError, UnsupportedVersionError, DimensionError, UnitarityError, "read"
+    PINNED = [
+        (F, 2), (F, 2), (F, 2), (R, 0), (F, 2), (F, 2), (F, 2), (R, 0), (V, 2), (F, 2),
+        (F, 2), (F, 2), (R, 0), (R, 0), (R, 0), (R, 0), (F, 2), (R, 0), (R, 0), (R, 0),
+        (R, 0), (F, 2), (R, 0), (R, 0), (F, 2), (R, 0), (R, 0), (F, 2), (R, 0), (F, 2),
+        (F, 2), (F, 2), (R, 0), (F, 2), (R, 0), (F, 2), (R, 0), (R, 0), (F, 2), (R, 0),
+        (R, 0), (R, 0), (F, 2), (R, 0), (F, 2), (F, 2), (F, 2), (F, 2), (F, 2), (R, 0),
+        (R, 0), (R, 0), (U, 3), (F, 2), (F, 2), (R, 0), (F, 2), (F, 2), (R, 0), (F, 2),
+        (R, 0), (R, 0), (F, 2), (F, 2), (R, 0), (R, 0), (F, 2), (R, 0), (F, 2), (R, 0),
+        (R, 0), (F, 2), (F, 2), (R, 0), (R, 0), (F, 2), (R, 0), (V, 2), (F, 2), (F, 2),
+        (R, 0), (F, 2), (F, 2), (F, 2), (R, 0), (R, 0), (F, 2), (R, 0), (F, 2), (R, 0),
+        (F, 2), (F, 2), (R, 0), (F, 2), (F, 2), (R, 0), (R, 0), (F, 2), (F, 2), (R, 0),
+        (R, 1), (R, 0), (D, 4), (F, 2), (R, 0), (F, 2), (R, 0), (F, 2), (R, 0), (R, 0),
+        (R, 0), (R, 0), (F, 2), (F, 2), (F, 2), (F, 2), (R, 0), (V, 2), (F, 2), (F, 2),
+    ]
+    del F, V, D, U, R
+
+    def test_pinned_sample_keeps_class_and_exit_code(self, tmp_path):
+        u = haar_random_unitary(6, 0)
+        text = serialize(decompose(u, ModeSpace(3, 2)))
+        save_matrix(tmp_path / "u.mat", u)
+        circuit_path = tmp_path / "circuit.json"
+        outcomes = []
+        for spoiled in spoiled_documents(text, np.random.default_rng(0), len(self.PINNED)):
+            try:
+                deserialize(spoiled)
+                outcome = "read"
+            except READER_ERRORS as exc:
+                outcome = type(exc)
+            circuit_path.write_text(spoiled)
+            outcomes.append((outcome, main(["verify", str(circuit_path), str(tmp_path / "u.mat")])))
+        assert outcomes == self.PINNED
