@@ -249,6 +249,24 @@ class TestDecompose:
                 above.append(f"{kind} {n_s}x{n_p}: {defect / (n_s * n_p * eps):.2f}·N·ε")
         assert not above
 
+    @pytest.mark.parametrize(
+        "n_s,n_p,kind",
+        [(1, 4, "haar"), (2, 1, "haar"), (2, 2, "haar"), (3, 2, "haar"), (5, 3, "haar"), (16, 1, "haar"),
+         (8, 16, "haar"), (2, 128, "haar"), (4, 3, "permutation"), (3, 2, "identity")],
+    )
+    def test_is_stage1_with_every_mixer_expanded(self, n_s, n_p, kind):
+        # Bit for bit, signed zeros included: the identity's angles are all zero.
+        space = ModeSpace(n_s, n_p)
+        u = {
+            "haar": lambda: haar_random_unitary(space.dim, n_s + n_p),
+            "permutation": lambda: np.eye(space.dim, dtype=complex)[np.random.default_rng(3).permutation(space.dim)],
+            "identity": lambda: np.eye(space.dim, dtype=complex),
+        }[kind]()
+        expanded = []
+        for element in decompose_stage1(u, space).elements:
+            expanded += expand_cs_block(element) if type(element) is CSBlock else [element]
+        assert_bit_identical(decompose(u, space).elements, expanded)
+
     @given(n_s=st.integers(1, 4), n_p=st.integers(1, 3), seed=st.integers(0, 2**31))
     @settings(max_examples=30, deadline=None)
     def test_round_trip_property(self, n_s, n_p, seed):

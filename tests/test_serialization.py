@@ -60,7 +60,7 @@ def assert_bit_identical(left, right):
             if hasattr(a, field):
                 x, y = np.ascontiguousarray(getattr(a, field)), getattr(b, field)
                 assert y.dtype == x.dtype and y.shape == x.shape
-                assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
+                assert np.array_equal(x.view(np.uint64), np.ascontiguousarray(y).view(np.uint64))
 
 
 # Floats whose text form is easy to get wrong: signed zeros, subnormals, the
