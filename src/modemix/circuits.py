@@ -21,7 +21,7 @@ import numpy as np
 
 from .csd import cs_matrix
 from .errors import DimensionError
-from .linalg import _require_fits
+from .linalg import _numbers, _require_fits
 
 # Balanced 50:50 beamsplitter acting on a pair of spatial modes.
 BEAMSPLITTER_2 = np.array([[1, 1j], [1j, 1]], dtype=complex) / np.sqrt(2)
@@ -126,20 +126,9 @@ def _block_fault(element, width: int, shape: tuple) -> DimensionError:
     return DimensionError(f"{type(element).__name__} needs a {width}x{width} block, got shape {shape}")
 
 
-def _numbers(element, values, name: str, dtype: type) -> np.ndarray:
-    """``values`` as a float or complex ``dtype`` array, cast only from numbers of a kind it holds."""
-    array = np.asarray(values)
-    if array.dtype != dtype:  # bools, text, objects and complex angles are refused, not coerced
-        if array.dtype.kind not in ("iuf" if dtype is float else "iufc"):
-            real = "real " if dtype is float else ""
-            raise TypeError(f"{type(element).__name__} {name} must be {real}numbers, got dtype {array.dtype}")
-        array = array.astype(dtype)
-    return array
-
-
 def _angles(element, values, name: str, n_p: int, span: int) -> np.ndarray:
     """The n_p angles of a phase block (span 1) or CS block (span 2) as floats."""
-    angles = _numbers(element, values, name, float)
+    angles = _numbers(type(element), values, name, float)
     if angles.shape == (n_p,):
         return angles
     if angles.ndim == 1:  # named by the block that many angles would build
@@ -192,7 +181,7 @@ def _walk(circuit: Circuit) -> tuple[list, list, list, list]:
             k = _check_mode(element.mode, space)
             layer = depth[k] = depth[k] + 1
             if kind == INTERNAL:
-                value = _numbers(element, element.matrix, "matrix", complex)
+                value = _numbers(type(element), element.matrix, "matrix", complex)
                 if value.shape != (n_p, n_p):
                     raise _block_fault(element, n_p, value.shape)
             else:

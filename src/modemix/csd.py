@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import require_unitary, svd
+from .linalg import _numbers, require_unitary, svd
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ def cs_matrix(thetas, total_dim: int) -> np.ndarray:
     (i, i+m), -sin(theta_i) at (i+m, i) and ones on the remaining diagonal.
     A stack of angle vectors, shape (..., m), gives a stack of matrices.
     """
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    thetas = np.atleast_1d(_numbers(cs_matrix, thetas, "thetas", float))
     m = thetas.shape[-1]
     if total_dim < 2 * m:
         raise DimensionError(

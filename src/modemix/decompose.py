@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circuits import Beamsplitter, Circuit, CSBlock, InternalOp, ModeSpace, PhaseBlock, _numbers
+from .circuits import Beamsplitter, Circuit, CSBlock, InternalOp, ModeSpace, PhaseBlock
 from .csd import csd_stack
 from .errors import DimensionError
-from .linalg import require_unitary
+from .linalg import _numbers, require_unitary
 
 
 def decompose_stage1(u, space: ModeSpace) -> Circuit:
@@ -122,7 +122,7 @@ def expand_cs_block(block: CSBlock) -> list:
     beamsplitter.
     """
     k, l = block.pair
-    thetas = _numbers(block, block.thetas, "thetas", float)
+    thetas = _numbers(type(block), block.thetas, "thetas", float)
     return [
         Beamsplitter((k, l), conjugate=True),
         PhaseBlock(k, thetas.copy()),

@@ -36,6 +36,20 @@ def _require_fits(dim: int) -> None:
         raise DimensionError(f"dimension {dim} is too large for a {dim}x{dim} complex array")
 
 
+def _numbers(owner, values, name: str, dtype: type) -> np.ndarray:
+    """``values`` as a float or complex ``dtype`` array, cast only from numbers of a kind it holds.
+
+    ``owner``, an element class or a function, names the values in the ``TypeError``.
+    """
+    array = np.asarray(values)
+    if array.dtype != dtype:  # bools, text, objects and complex angles are refused, not coerced
+        if array.dtype.kind not in ("iuf" if dtype is float else "iufc"):
+            real = "real " if dtype is float else ""
+            raise TypeError(f"{owner.__name__} {name} must be {real}numbers, got dtype {array.dtype}")
+        array = array.astype(dtype)
+    return array
+
+
 def unitarity_defect(m) -> float:
     """Largest absolute entry of M†M - 1 for a square matrix M, or over a stack of them."""
     m = _as_stack(m)

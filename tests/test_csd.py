@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -50,6 +52,21 @@ class TestCsMatrix:
     def test_rejects_too_small_dimension(self):
         with pytest.raises(DimensionError):
             cs_matrix([0.1, 0.2], 3)
+
+    @pytest.mark.parametrize(
+        "thetas,message",
+        [
+            ([True], "cs_matrix thetas must be real numbers, got dtype bool"),
+            (["0.5"], "cs_matrix thetas must be real numbers, got dtype <U3"),
+            (np.array([0.2 + 1j]), "cs_matrix thetas must be real numbers, got dtype complex128"),
+        ],
+    )
+    def test_cs_matrix_refuses_what_the_walk_refuses(self, thetas, message):
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            cs_matrix(thetas, 2)
+
+    def test_cs_matrix_takes_integer_angles(self):
+        assert np.array_equal(cs_matrix(np.array([0, 1], np.uint8), 4), cs_matrix([0.0, 1.0], 4))
 
 
 class TestBlockPartition:
