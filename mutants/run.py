@@ -101,7 +101,7 @@ MUTANTS = [
     (
         "the walk casts angles with dtype=float again",
         CIRCUITS,
-        "angles = _numbers(element, values, name, float)",
+        "angles = _numbers(type(element), values, name, float)",
         "angles = np.asarray(values, dtype=float)",
         ["tests/test_circuits.py"],
     ),
@@ -230,6 +230,34 @@ MUTANTS = [
         "before += [last[k + 1], last[k]]",
         "before += [last[k], last[k + 1]]",
         ["tests/test_decompose.py"],
+    ),
+    (
+        "decompose puts +θ on mode k+1 and -θ on mode k",
+        "src/modemix/decompose.py",
+        "*_mixer(k, k + 1, plus, minus)",
+        "*_mixer(k, k + 1, minus, plus)",
+        ["tests/test_decompose.py"],
+    ),
+    (
+        "the mixer's first beamsplitter loses its conjugate flag",
+        "src/modemix/decompose.py",
+        "Beamsplitter(pair, conjugate=True)",
+        "Beamsplitter(pair)",
+        ["tests/test_decompose.py"],
+    ),
+    (
+        "decompose gives both phase blocks of a mixer +θ",
+        "src/modemix/decompose.py",
+        "thetas, -thetas)",
+        "thetas, thetas)",
+        ["tests/test_decompose.py"],
+    ),
+    (
+        "cs_matrix casts angles with dtype=float again",
+        "src/modemix/csd.py",
+        '_numbers(cs_matrix, thetas, "thetas", float)',
+        "np.asarray(thetas, dtype=float)",
+        ["tests/test_csd.py"],
     ),
     (
         "csd_stack puts every stacked slice in one k group",

@@ -27,8 +27,8 @@ from .errors import DimensionError
 from .linalg import _numbers, require_unitary
 
 
-def decompose_stage1(u, space: ModeSpace) -> Circuit:
-    """Factor ``u`` into internal operations and CS mixers.
+def _factor(u, space: ModeSpace) -> tuple[list, np.ndarray, list]:
+    """Stage 1's factors of ``u``: the core that both ``decompose_stage1`` and ``decompose`` build from.
 
     Step (c, r), for column block c and row block r > c, takes one complete
     QR of blocks (r-1, c) and (r, c) stacked; its Q is a unitary on spatial
@@ -46,6 +46,11 @@ def decompose_stage1(u, space: ModeSpace) -> Circuit:
     operation on either side on both of its modes, and the internal
     operations that meet on one mode between two of its mixers are
     multiplied into one, all in one stacked product.
+
+    Returns the first spatial mode k of each mixer in application order, as
+    Python ints; the mixers' angles, one row each; and the internal ops in
+    application order: ops[2j] on mode k+1 and ops[2j+1] on mode k before
+    mixer j, then the n_s ops after the last mixer, on modes n_s down to 1.
     """
     # A copy, because the nulling works in place and, at n_s = 1, the
     # input itself is the one internal op.
@@ -58,7 +63,7 @@ def decompose_stage1(u, space: ModeSpace) -> Circuit:
     require_unitary(u, "input")
     n_s, n_p = space.n_s, space.n_p
     if n_s == 1:
-        return Circuit(space, [InternalOp(1, u)])
+        return [], np.empty((0, n_p)), [u]
 
     # The 2n_p x 2n_p unitaries in application order, V first and then the
     # Q's from last to first, each with the upper of its two spatial modes.
@@ -86,6 +91,7 @@ def decompose_stage1(u, space: ModeSpace) -> Circuit:
         band[...] = q.conj().swapaxes(1, 2) @ band
         modes[slot[steps]], unitaries[slot[steps]] = r[steps] - 1, q
     modes[0], unitaries[0] = n_s - 1, u[-2 * n_p :, -2 * n_p :]
+    modes = modes.tolist()
 
     left_top, left_bottom, thetas, right_top, right_bottom = csd_stack(unitaries, n_p)
     del unitaries  # so that the merge's stacks stay under csd_stack's memory peak
@@ -101,16 +107,35 @@ def decompose_stage1(u, space: ModeSpace) -> Circuit:
     lefts = np.concatenate([left_bottom, left_top, diagonal])
     last = [None, *range(2 * count, 2 * count + n_s - 2), count, 0]
     before = []
-    for j, k in enumerate(modes.tolist()[1:], 1):
+    for j, k in enumerate(modes[1:], 1):
         before += [last[k + 1], last[k]]
         last[k + 1], last[k] = j, count + j
-    ops = [right_bottom[0].conj().T, right_top[0].conj().T, *(rights @ lefts[before])]
+    ops = [right_bottom[0].conj().T, right_top[0].conj().T, *(rights @ lefts[before]), *lefts[last[:0:-1]]]
+    return modes, thetas, ops
 
+
+def decompose_stage1(u, space: ModeSpace) -> Circuit:
+    """Factor ``u`` into internal operations and CS mixers.
+
+    One of the two builders over ``_factor``'s stacks: each mixer becomes one
+    ``CSBlock`` on its row of the angle stack, after the two internal ops
+    before it. ``decompose`` is the other.
+    """
+    modes, thetas, ops = _factor(u, space)
     elements = []
-    for k, bottom, top, theta in zip(modes.tolist(), ops[::2], ops[1::2], thetas):
+    for k, bottom, top, theta in zip(modes, ops[::2], ops[1::2], thetas):
         elements += [InternalOp(k + 1, bottom), InternalOp(k, top), CSBlock((k, k + 1), theta)]
-    elements += [InternalOp(mode, op) for mode, op in zip(range(n_s, 0, -1), lefts[last[:0:-1]])]
+    elements += [InternalOp(mode, op) for mode, op in zip(range(space.n_s, 0, -1), ops[2 * len(modes) :])]
     return Circuit(space, elements)
+
+
+def _mixer(k: int, l: int, plus: np.ndarray, minus: np.ndarray) -> list:
+    """The four elements of a CS mixer on modes (k, l), with +θ = ``plus`` and -θ = ``minus``.
+
+    The one copy of ``expand_cs_block``'s rule; both beamsplitters share one pair tuple.
+    """
+    pair = (k, l)
+    return [Beamsplitter(pair, conjugate=True), PhaseBlock(k, plus), PhaseBlock(l, minus), Beamsplitter(pair)]
 
 
 def expand_cs_block(block: CSBlock) -> list:
@@ -118,23 +143,26 @@ def expand_cs_block(block: CSBlock) -> list:
 
     S(θ) equals (B ⊗ 1) (Θ ⊕ Θ†) (B† ⊗ 1) with Θ = diag(exp(iθ)), so in
     application order the mixer becomes: conjugated beamsplitter, +θ phase
-    block on the lower mode, -θ phase block on the upper mode, plain
-    beamsplitter.
+    block on the first mode of its pair, -θ phase block on the second, plain
+    beamsplitter. ``decompose`` builds every mixer by this rule.
     """
     k, l = block.pair
     thetas = _numbers(type(block), block.thetas, "thetas", float)
-    return [
-        Beamsplitter((k, l), conjugate=True),
-        PhaseBlock(k, thetas.copy()),
-        PhaseBlock(l, -thetas),
-        Beamsplitter((k, l)),
-    ]
+    return _mixer(k, l, thetas.copy(), -thetas)
 
 
 def decompose(u, space: ModeSpace) -> Circuit:
-    """Full compilation: stage 1 followed by expansion of every CS mixer."""
-    stage1 = decompose_stage1(u, space)
+    """Full compilation into internal operations, beamsplitters and phase blocks.
+
+    The other builder over ``_factor``'s stacks: each mixer's two phase
+    blocks are its row of the angle stack and the same row of one negated
+    stack, so no stage-1 circuit is built and no CS block is expanded. The
+    result equals ``decompose_stage1`` with ``expand_cs_block`` applied to
+    every mixer, bit for bit.
+    """
+    modes, thetas, ops = _factor(u, space)
     elements = []
-    for element in stage1.elements:
-        elements += expand_cs_block(element) if isinstance(element, CSBlock) else [element]
+    for k, bottom, top, plus, minus in zip(modes, ops[::2], ops[1::2], thetas, -thetas):
+        elements += [InternalOp(k + 1, bottom), InternalOp(k, top), *_mixer(k, k + 1, plus, minus)]
+    elements += [InternalOp(mode, op) for mode, op in zip(range(space.n_s, 0, -1), ops[2 * len(modes) :])]
     return Circuit(space, elements)
