@@ -211,8 +211,13 @@ def reconstruct(circuit: Circuit) -> np.ndarray:
     one band view. The result is bit for bit that of applying the elements
     one at a time; an empty circuit gives the identity.
     """
-    n_p, dim = circuit.space.n_p, circuit.space.dim
-    modes, layers, values, _ = _walk(circuit)
+    return _product(circuit.space, _walk(circuit))
+
+
+def _product(space: ModeSpace, walk: tuple) -> np.ndarray:
+    """``reconstruct``'s matrix from the record of ``_walk`` over a circuit on ``space``."""
+    n_p, dim = space.n_p, space.dim
+    modes, layers, values, _ = walk
     _require_fits(dim)  # and so every mode and row index fits an intp
 
     runs = []  # each kind's groups in layer order: (layer, first row, element count, blocks)

@@ -88,8 +88,13 @@ def serialize(circuit: Circuit) -> str:
     element in document order, then ``ValueError`` for a value that is not
     finite and ``UnitarityError`` if any internal operation is not unitary.
     """
-    modes, _, values, sequence = _walk(circuit)
-    space, lines = circuit.space, {}
+    return _document(circuit.space, _walk(circuit))
+
+
+def _document(space: ModeSpace, walk: tuple) -> str:
+    """``serialize``'s text from the record of ``_walk`` over a circuit on ``space``."""
+    modes, _, values, sequence = walk
+    lines = {}
     # Internal ops last, so that every kind is checked finite before any op for unitarity.
     for code in (CS, CONJUGATE, BEAMSPLITTER, PHASE, INTERNAL):
         if modes[code]:

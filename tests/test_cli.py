@@ -97,6 +97,16 @@ class TestDecompose:
         doc = json.loads(out.read_text())
         assert sum(e["kind"] == "cs_block" for e in doc["elements"]) == 6
 
+    @pytest.mark.parametrize("flags", [[], ["--stage1-only"]])
+    def test_walks_its_circuit_once(self, tmp_path, monkeypatch, haar_file, flags):
+        # The file, the counts line and the verdict all read one walk record.
+        walk, calls = sys.modules["modemix.circuits"]._walk, []
+        for module in ("modemix.circuits", "modemix.serialization", "modemix.cli"):
+            monkeypatch.setattr(sys.modules[module], "_walk", lambda circuit: calls.append(1) or walk(circuit))
+        inp, out = haar_file(8, 5), tmp_path / "c.json"
+        assert run(["decompose", inp, out, "--ns", 4, "--np", 2, *flags]) == 0
+        assert len(calls) == 1
+
     def test_error_above_tol_exits_1(self, tmp_path, capsys):
         from modemix import save_matrix
 
