@@ -139,7 +139,7 @@ def _cmd_verify(args) -> int:
     return _verdict(circuit.space, _walk(circuit), u, args.tol)
 
 
-def _verdict(space, walk: tuple, u, tol: float) -> int:
+def _verdict(space: ModeSpace, walk: tuple, u, tol: float) -> int:
     """Print max|reconstruct(circuit) - u| of a walked circuit and pass it if it is within ``tol``."""
     if u.shape != (space.dim, space.dim):
         raise DimensionError(

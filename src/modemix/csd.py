@@ -68,6 +68,7 @@ def cs_matrix(thetas, total_dim: int) -> np.ndarray:
     cos(theta_i) at positions (i, i) and (i+m, i+m), +sin(theta_i) at
     (i, i+m), -sin(theta_i) at (i+m, i) and ones on the remaining diagonal.
     A stack of angle vectors, shape (..., m), gives a stack of matrices.
+    Angles that are not integers or floats raise ``TypeError``, as in a circuit.
     """
     thetas = np.atleast_1d(_numbers(cs_matrix, thetas, "thetas", float))
     m = thetas.shape[-1]

@@ -152,13 +152,11 @@ def expand_cs_block(block: CSBlock) -> list:
 
 
 def decompose(u, space: ModeSpace) -> Circuit:
-    """Full compilation into internal operations, beamsplitters and phase blocks.
+    """Full compilation: ``decompose_stage1`` with ``expand_cs_block`` applied to every mixer, bit for bit.
 
-    The other builder over ``_factor``'s stacks: each mixer's two phase
-    blocks are its row of the angle stack and the same row of one negated
-    stack, so no stage-1 circuit is built and no CS block is expanded. The
-    result equals ``decompose_stage1`` with ``expand_cs_block`` applied to
-    every mixer, bit for bit.
+    The other builder over ``_factor``'s stacks, with no stage-1 circuit on
+    the way: each mixer's phase blocks are its row of the angle stack and of
+    one negated stack.
     """
     modes, thetas, ops = _factor(u, space)
     elements = []
