@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -474,3 +475,107 @@ class TestExactKinds:
         for walk in (reconstruct, lambda c: embed(c.elements[0], space), serialize, audit_circuit):
             with pytest.raises(TypeError, match="^unknown circuit element type: Op$"):
                 walk(Circuit(space, [element]))
+
+
+def outcome(function, circuit):
+    """What ``function`` gives for ``circuit``: a matrix's bits, a text, a report's repr, or the error's class and message."""
+    try:
+        result = function(circuit)
+    except Exception as exc:  # the class and message are what is compared
+        return type(exc), str(exc)
+    if isinstance(result, np.ndarray):
+        return result.view(np.uint64).tobytes()
+    return result if isinstance(result, str) else repr(result)
+
+
+OUTPUTS = (reconstruct, serialize, audit_circuit)
+
+
+class TestCompiledAndReadCircuits:
+    """A circuit from decompose, decompose_stage1 or deserialize gives what its element list gives."""
+
+    MAKERS = {
+        "decompose": decompose,
+        "decompose_stage1": decompose_stage1,
+        "deserialize": lambda u, space: deserialize(serialize(decompose(u, space))),
+        "deserialize stage 1": lambda u, space: deserialize(serialize(decompose_stage1(u, space))),
+    }
+
+    @staticmethod
+    def plain(circuit):
+        return Circuit(circuit.space, list(circuit.elements))
+
+    @pytest.mark.parametrize("maker", list(MAKERS))
+    @pytest.mark.parametrize(
+        "n_s,n_p,matrix",
+        [(1, 4, "haar"), (2, 1, "haar"), (3, 2, "haar"), (16, 1, "haar"), (8, 16, "haar"), (2, 128, "haar"),
+         (4, 2, "identity"), (4, 3, "permutation")],
+    )
+    def test_same_bits_and_bytes_as_its_element_list(self, maker, n_s, n_p, matrix):
+        space = ModeSpace(n_s, n_p)
+        u = {
+            "haar": lambda: haar_random_unitary(space.dim, n_s + n_p),
+            "identity": lambda: np.eye(space.dim),
+            "permutation": lambda: np.eye(space.dim)[np.random.default_rng(n_s).permutation(space.dim)],
+        }[matrix]()
+        make = self.MAKERS[maker]
+        got = [outcome(function, make(u, space)) for function in OUTPUTS]  # each on a fresh circuit
+        circuit = make(u, space)
+        assert [outcome(function, circuit) for function in OUTPUTS] == got  # a circuit may be read again
+        plain = self.plain(circuit)
+        assert [outcome(function, plain) for function in OUTPUTS] == got
+        assert [outcome(function, circuit) for function in OUTPUTS] == got
+
+    @staticmethod
+    def fresh(maker):
+        space = ModeSpace(3, 2)
+        return TestCompiledAndReadCircuits.MAKERS[maker](haar_random_unitary(space.dim, 7), space)
+
+    @pytest.mark.parametrize("maker", list(MAKERS))
+    def test_an_element_put_in_after_a_read_is_checked(self, maker):
+        circuit = self.fresh(maker)
+        circuit.elements.append(PhaseBlock(4, np.zeros(2)))
+        expected = [outcome(function, self.plain(circuit)) for function in OUTPUTS]
+        assert expected[:2] == [(DimensionError, "spatial index 4 out of range 1..3")] * 2
+        assert [outcome(function, circuit) for function in OUTPUTS] == expected
+
+    @pytest.mark.parametrize("maker", list(MAKERS))
+    def test_an_assigned_element_list_is_the_circuit(self, maker):
+        circuit, other = self.fresh(maker), self.fresh(maker)
+        circuit.elements = [*other.elements, Beamsplitter((3, 4))]
+        expected = [outcome(function, self.plain(circuit)) for function in OUTPUTS]
+        assert expected[:2] == [(DimensionError, "spatial pair (3, 4) out of range for 3 spatial modes")] * 2
+        assert [outcome(function, circuit) for function in OUTPUTS] == expected
+        circuit = self.fresh(maker)
+        circuit.elements = other.elements[:3]
+        assert [outcome(function, circuit) for function in OUTPUTS[:2]] == [
+            outcome(function, Circuit(circuit.space, other.elements[:3])) for function in OUTPUTS[:2]
+        ]
+
+    @pytest.mark.parametrize("maker", list(MAKERS))
+    @pytest.mark.parametrize("n_s,n_p", [(4, 2), (2, 2), (3, 3), (3, 1)])
+    def test_an_assigned_space_is_walked(self, maker, n_s, n_p):
+        circuit = self.fresh(maker)
+        circuit.space = ModeSpace(n_s, n_p)
+        expected = [outcome(function, self.plain(circuit)) for function in OUTPUTS]
+        assert [outcome(function, self.fresh(maker)) for function in OUTPUTS] != expected
+        circuit = self.fresh(maker)
+        circuit.space = ModeSpace(n_s, n_p)
+        assert [outcome(function, circuit) for function in OUTPUTS] == expected
+
+    @pytest.mark.parametrize("maker", list(MAKERS))
+    @pytest.mark.parametrize("n_s,n_p", [(4, 2), (2, 2), (3, 3)])
+    def test_a_replaced_space_is_walked(self, maker, n_s, n_p):
+        circuit = dataclasses.replace(self.fresh(maker), space=ModeSpace(n_s, n_p))
+        expected = [outcome(function, self.plain(circuit)) for function in OUTPUTS]
+        assert [outcome(function, circuit) for function in OUTPUTS] == expected
+
+    @pytest.mark.parametrize("maker", list(MAKERS))
+    def test_repr_and_equality_read_the_elements(self, maker):
+        circuit = self.fresh(maker)
+        assert repr(circuit) == repr(self.plain(self.fresh(maker)))
+        assert repr(circuit).startswith("Circuit(space=ModeSpace(n_s=3, n_p=2), elements=[InternalOp(mode=3, ")
+        other = self.fresh(maker)
+        other.elements = [e for e in other.elements if not isinstance(e, InternalOp)]
+        assert circuit != other and other == self.plain(other)
+        assert dataclasses.replace(circuit) == dataclasses.replace(self.plain(circuit))

@@ -10,7 +10,7 @@ from modemix import (
     save_matrix,
     unitarity_defect,
 )
-from modemix.linalg import svd
+from modemix.linalg import _require_fits, svd
 
 from conftest import max_abs
 
@@ -152,6 +152,12 @@ class TestHaarRandomUnitary:
     def test_rejects_dim_too_large_for_any_array(self, dim):
         with pytest.raises(DimensionError, match=f"^dimension {dim} is too large for a {dim}x{dim} complex array$"):
             haar_random_unitary(dim, 0)
+
+    def test_array_limit_boundary(self):
+        # 759250124^2 complex128 entries are the most whose bytes an int64 can count.
+        _require_fits(759_250_124)
+        with pytest.raises(DimensionError, match="^dimension 759250125 is too large"):
+            _require_fits(759_250_125)
 
 
 class TestMatrixTextFormat:
