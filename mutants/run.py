@@ -41,10 +41,17 @@ MUTANTS = [
         ["tests/test_serialization.py"],
     ),
     (
-        "the reader rebuilds the elements grouped by kind",
+        "the reader records its kind codes grouped by kind",
         SERIALIZATION,
-        "[next(made[kind]) for kind in kinds]",
-        "[element for column in made.values() for element in column]",
+        "[next(codes[kind]) for kind in kinds]",
+        "[code for column in codes.values() for code in column]",
+        ["tests/test_serialization.py"],
+    ),
+    (
+        "the reader records every beamsplitter as plain",
+        SERIALIZATION,
+        "[BEAMSPLITTER + flag for flag in values]",
+        "[BEAMSPLITTER for flag in values]",
         ["tests/test_serialization.py"],
     ),
     (
@@ -62,7 +69,7 @@ MUTANTS = [
         ["tests/test_circuits.py"],
     ),
     (
-        "a pair's layer reads only its lower mode",
+        "the layering scan gives a pair the layer after its lower mode's, not after both modes'",
         CIRCUITS,
         "max(depth[k], depth[k + 1]) + 1",
         "depth[k] + 1",
@@ -232,25 +239,67 @@ MUTANTS = [
         ["tests/test_decompose.py"],
     ),
     (
-        "decompose puts +θ on mode k+1 and -θ on mode k",
+        "the record builder puts +θ on mode k+1 and -θ on mode k",
         "src/modemix/decompose.py",
-        "*_mixer(k, k + 1, plus, minus)",
-        "*_mixer(k, k + 1, minus, plus)",
+        "for k in (first, first + 1)]",
+        "for k in (first + 1, first)]",
         ["tests/test_decompose.py"],
     ),
     (
-        "the mixer's first beamsplitter loses its conjugate flag",
+        "expand_cs_block's first beamsplitter loses its conjugate flag",
         "src/modemix/decompose.py",
         "Beamsplitter(pair, conjugate=True)",
         "Beamsplitter(pair)",
         ["tests/test_decompose.py"],
     ),
     (
-        "decompose gives both phase blocks of a mixer +θ",
+        "the record builder gives both phase blocks of a mixer +θ",
         "src/modemix/decompose.py",
-        "thetas, -thetas)",
-        "thetas, thetas)",
+        "np.stack([thetas, -thetas]",
+        "np.stack([thetas, thetas]",
         ["tests/test_decompose.py"],
+    ),
+    (
+        "the record builder swaps the +θ and -θ phases",
+        "src/modemix/decompose.py",
+        "np.stack([thetas, -thetas]",
+        "np.stack([-thetas, thetas]",
+        ["tests/test_decompose.py"],
+    ),
+    (
+        "the record builder's mixers start with a plain beamsplitter",
+        "src/modemix/decompose.py",
+        "mixer = [CONJUGATE, PHASE, PHASE, BEAMSPLITTER]",
+        "mixer = [BEAMSPLITTER, PHASE, PHASE, CONJUGATE]",
+        ["tests/test_decompose.py"],
+    ),
+    (
+        "_elements drops the conjugate flag",
+        CIRCUITS,
+        "map(pairs.get, modes[CONJUGATE]), repeat(True))",
+        "map(pairs.get, modes[CONJUGATE]))",
+        ["tests/test_circuits.py"],
+    ),
+    (
+        "the held record survives an elements assignment",
+        CIRCUITS,
+        'self.__dict__.pop("_held", None)',
+        "pass",
+        ["tests/test_circuits.py"],
+    ),
+    (
+        "the held record is read after the space is reassigned",
+        CIRCUITS,
+        "if held is not None and held[0] == circuit.space:",
+        "if held is not None:",
+        ["tests/test_circuits.py"],
+    ),
+    (
+        "_require_fits divides the index limit by 17, not 16",
+        "src/modemix/linalg.py",
+        "np.iinfo(np.intp).max // 16",
+        "np.iinfo(np.intp).max // 17",
+        ["tests/test_linalg.py"],
     ),
     (
         "cs_matrix casts angles with dtype=float again",

@@ -7,6 +7,16 @@ is internal mode ``l`` of spatial mode ``k``, with both indices 1-based.
 
 Elements are stored in application order: ``elements[0]`` hits the light
 first, so in the matrix product ``elements[-1]`` is the leftmost factor.
+
+Every reader of a circuit (``reconstruct``, ``serialize``, ``audit_circuit``
+and the CLI counts) reads one record of it: per kind code, the elements'
+first spatial modes and a stack of their values, plus the kind code of
+every element in document order. ``_walk`` checks a circuit's elements and
+gives its record. A circuit that ``decompose``, ``decompose_stage1`` or
+``deserialize`` returns holds the record it was built from instead, and
+builds its element objects only when ``elements`` is first read; the record
+is then dropped. Only ``reconstruct`` needs layers, and it scans the record
+for them itself.
 """
 
 from __future__ import annotations
@@ -15,6 +25,7 @@ import heapq
 import operator
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Union
 
 import numpy as np
@@ -88,10 +99,49 @@ CircuitElement = Union[InternalOp, Beamsplitter, PhaseBlock, CSBlock]
 
 @dataclass
 class Circuit:
-    """Ordered element sequence over a mode space, in application order."""
+    """Ordered element sequence over a mode space, in application order.
+
+    A circuit built by ``_held`` keeps the record it was made from and no
+    element list. The first read of ``elements`` builds the list from the
+    record and drops the record, as does assigning a list. Until then the
+    readers take the record in place of a walk, while ``space`` is still the
+    space it was built for.
+    """
 
     space: ModeSpace
     elements: list = field(default_factory=list)
+
+    def __getattr__(self, name):
+        # Called only for a name the instance lacks: a held circuit's elements.
+        held = self.__dict__.get("_held")
+        if name != "elements" or held is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.elements = _elements(held[1])
+        return self.elements
+
+    def __setattr__(self, name, value):
+        if name == "elements":  # a record that no longer matches the elements is never read
+            self.__dict__.pop("_held", None)
+        object.__setattr__(self, name, value)
+
+
+def _held(space: ModeSpace, record: tuple) -> Circuit:
+    """A circuit on ``space`` that holds ``record``, whose elements are built when first read.
+
+    For the builders of circuits whose record is checked by construction:
+    ``decompose``, ``decompose_stage1`` and ``deserialize``.
+    """
+    circuit = Circuit.__new__(Circuit)
+    circuit.__dict__.update(space=space, _held=(space, record))
+    return circuit
+
+
+def _record(circuit: Circuit) -> tuple:
+    """The record that ``reconstruct``, ``serialize`` and the counts read: the held one, or ``_walk``'s."""
+    held = getattr(circuit, "_held", None)
+    if held is not None and held[0] == circuit.space:
+        return held[1]
+    return _walk(circuit)
 
 
 def _check_mode(k, space: ModeSpace) -> int:
@@ -160,18 +210,18 @@ INTERNAL, PHASE, BEAMSPLITTER, CONJUGATE, CS = range(5)
 _KINDS = {InternalOp: INTERNAL, PhaseBlock: PHASE, Beamsplitter: BEAMSPLITTER, CSBlock: CS}
 
 
-def _walk(circuit: Circuit) -> tuple[list, list, list, list]:
-    """The one checking pass, in document order: ``reconstruct``, ``serialize`` and the counts read it.
+def _walk(circuit: Circuit) -> tuple[list, list, list]:
+    """The one checking pass over a circuit's elements, in document order.
 
-    Checks each element's type, index or pair and value type and shape, and
-    layers it after every earlier element on its spatial modes. Returns, for each kind
-    code in document order, the first spatial modes and the layers as Python
-    ints and the values (None for a beamsplitter), then every kind code.
+    Checks each element's type, index or pair and value type and shape.
+    Returns the circuit's record: for each kind code, the first spatial modes
+    of its elements as Python ints and the stack of their values (an empty
+    list for a kind with no values, and for beamsplitters), then every
+    element's kind code in document order.
     """
     space = circuit.space
     n_p = space.n_p
-    depth = defaultdict(int)  # deepest layer on each mode met; a list would take O(n_s)
-    modes, layers, values = ([[] for _ in range(5)] for _ in range(3))
+    modes, values = ([[] for _ in range(5)] for _ in range(2))
     sequence = []
     for element in circuit.elements:
         kind = _KINDS.get(type(element))
@@ -179,62 +229,89 @@ def _walk(circuit: Circuit) -> tuple[list, list, list, list]:
             raise TypeError(f"unknown circuit element type: {type(element).__name__}")
         if kind < BEAMSPLITTER:
             k = _check_mode(element.mode, space)
-            layer = depth[k] = depth[k] + 1
             if kind == INTERNAL:
                 value = _numbers(type(element), element.matrix, "matrix", complex)
                 if value.shape != (n_p, n_p):
                     raise _block_fault(element, n_p, value.shape)
             else:
                 value = _angles(element, element.phases, "phases", n_p, 1)
+            values[kind].append(value)
         else:
             k = _check_pair(element.pair, space)[0]
-            layer = depth[k] = depth[k + 1] = max(depth[k], depth[k + 1]) + 1
             if kind == CS:
-                value = _angles(element, element.thetas, "thetas", n_p, 2)
+                values[kind].append(_angles(element, element.thetas, "thetas", n_p, 2))
             else:
-                kind, value = BEAMSPLITTER + bool(element.conjugate), None
+                kind = BEAMSPLITTER + bool(element.conjugate)
         modes[kind].append(k)
-        layers[kind].append(layer)
-        values[kind].append(value)
         sequence.append(kind)
-    return modes, layers, values, sequence
+    return modes, [np.array(stack) if stack else stack for stack in values], sequence
+
+
+def _elements(record: tuple) -> list:
+    """The element objects of a record, in document order; elements on one pair share its tuple."""
+    modes, values, sequence = record
+    pairs = {k: (k, k + 1) for kind in (BEAMSPLITTER, CONJUGATE, CS) for k in modes[kind]}
+    made = (
+        map(InternalOp, modes[INTERNAL], values[INTERNAL]),
+        map(PhaseBlock, modes[PHASE], values[PHASE]),
+        map(Beamsplitter, map(pairs.get, modes[BEAMSPLITTER])),
+        map(Beamsplitter, map(pairs.get, modes[CONJUGATE]), repeat(True)),
+        map(CSBlock, map(pairs.get, modes[CS]), values[CS]),
+    )
+    return [next(made[kind]) for kind in sequence]
 
 
 def reconstruct(circuit: Circuit) -> np.ndarray:
     """Total matrix of a circuit: the product of its elements.
 
-    ``_walk`` checks and layers the elements; those of one layer act on
-    disjoint rows and commute. Each kind's blocks are built in one call, in
-    (layer, first mode) order; the two beamsplitter blocks, kron(B, 1) and
-    kron(B†, 1), are broadcast, not copied. A group is a run of one kind's
+    Reads the circuit's record (the held one, or ``_walk``'s, which checks
+    the elements) and layers its elements in one scan; those of one layer
+    act on disjoint rows and commute. Each kind's blocks are built in one
+    call, in (layer, first mode) order; the two beamsplitter blocks,
+    kron(B, 1) and kron(B†, 1), are broadcast, not copied. A group is a run of one kind's
     elements in one layer on abutting rows, so it is one batched product on
     one band view. The result is bit for bit that of applying the elements
     one at a time; an empty circuit gives the identity.
     """
-    return _product(circuit.space, _walk(circuit))
+    return _product(circuit.space, _record(circuit))
 
 
-def _product(space: ModeSpace, walk: tuple) -> np.ndarray:
-    """``reconstruct``'s matrix from the record of ``_walk`` over a circuit on ``space``."""
+def _layers(modes: list, sequence: list) -> list:
+    """Each element's as-soon-as-possible layer, one list per kind code: one after every earlier element on its modes."""
+    depth = defaultdict(int)  # deepest layer on each mode met; a list would take O(n_s)
+    firsts = list(map(iter, modes))
+    layers = [[] for _ in modes]
+    for kind in sequence:
+        k = next(firsts[kind])
+        if kind < BEAMSPLITTER:
+            layer = depth[k] = depth[k] + 1
+        else:
+            layer = depth[k] = depth[k + 1] = max(depth[k], depth[k + 1]) + 1
+        layers[kind].append(layer)
+    return layers
+
+
+def _product(space: ModeSpace, record: tuple) -> np.ndarray:
+    """``reconstruct``'s matrix from the record of a circuit on ``space``."""
     n_p, dim = space.n_p, space.dim
-    modes, layers, values, _ = walk
+    modes, values, sequence = record
     _require_fits(dim)  # and so every mode and row index fits an intp
 
     runs = []  # each kind's groups in layer order: (layer, first row, element count, blocks)
-    builders = (
-        np.array,
-        lambda phases: _phase_blocks(np.array(phases), n_p),
+    builders = (  # each kind's blocks, given the order of its elements
+        lambda order: values[INTERNAL][order],
+        lambda order: _phase_blocks(values[PHASE][order], n_p),
         lambda _: _kron_eye(BEAMSPLITTER_2, n_p),
         lambda _: _kron_eye(BEAMSPLITTER_2.conj().T, n_p),
-        lambda thetas: cs_matrix(np.array(thetas), 2 * n_p),
+        lambda order: cs_matrix(values[CS][order], 2 * n_p),
     )
-    for kind_modes, kind_layers, kind_values, build in zip(modes, layers, values, builders):
+    for kind_modes, kind_layers, build in zip(modes, _layers(modes, sequence), builders):
         if not kind_modes:
             continue
         firsts, group_layers = np.array([kind_modes, kind_layers], dtype=np.intp)
         order = np.lexsort((firsts, group_layers))
         group_layers, starts = group_layers[order], (firsts[order] - 1) * n_p
-        blocks = build([kind_values[i] for i in order.tolist()])
+        blocks = build(order)
         width = blocks.shape[-1]  # a group ends at a new layer or at a gap between its bands
         ends = (np.diff(group_layers) != 0) | (np.diff(starts) != width)
         bounds = [0, *(np.flatnonzero(ends) + 1).tolist(), len(order)]

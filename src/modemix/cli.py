@@ -22,13 +22,13 @@ from collections import Counter
 
 import numpy as np
 
-from .circuits import BEAMSPLITTER, CONJUGATE, CS, INTERNAL, PHASE, ModeSpace, _product, _walk
+from .circuits import BEAMSPLITTER, CONJUGATE, CS, INTERNAL, PHASE, ModeSpace, _record, reconstruct
 from .costs import cost_report
 from .csd import csd
 from .decompose import decompose, decompose_stage1
 from .errors import CircuitFormatError, DimensionError, MatrixFormatError, UnitarityError
 from .linalg import haar_random_unitary, load_matrix, save_matrix
-from .serialization import _document, deserialize
+from .serialization import deserialize, serialize
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -111,8 +111,8 @@ def _tolerance_ok(tol: float) -> None:
         raise DimensionError(f"tolerance must be finite and positive, got {tol}")
 
 
-def _counts_line(walk: tuple) -> str:
-    counts = Counter(walk[-1])
+def _counts_line(circuit) -> str:
+    counts = Counter(_record(circuit)[-1])
     if counts[CS]:
         return f"internal={counts[INTERNAL]} cs_blocks={counts[CS]}"
     beamsplitters = counts[BEAMSPLITTER] + counts[CONJUGATE]
@@ -123,12 +123,12 @@ def _cmd_decompose(args) -> int:
     _tolerance_ok(args.tol)
     u = load_matrix(args.input)
     compiler = decompose_stage1 if args.stage1_only else decompose
+    # The file, the counts and the verdict read the record the compiler built; no element object is made.
     circuit = compiler(u, ModeSpace(args.ns, args.np))
-    walk = _walk(circuit)  # the one checking pass, read by the file, the counts and the verdict
     with open(args.output, "w", encoding="ascii") as handle:
-        handle.write(_document(circuit.space, walk))
-    print(_counts_line(walk))
-    return _verdict(circuit.space, walk, u, args.tol)
+        handle.write(serialize(circuit))
+    print(_counts_line(circuit))
+    return _verdict(circuit, u, args.tol)
 
 
 def _cmd_verify(args) -> int:
@@ -136,16 +136,17 @@ def _cmd_verify(args) -> int:
     with open(args.circuit, "r", encoding="ascii") as handle:
         circuit = deserialize(handle.read())
     u = load_matrix(args.matrix)
-    return _verdict(circuit.space, _walk(circuit), u, args.tol)
+    return _verdict(circuit, u, args.tol)
 
 
-def _verdict(space: ModeSpace, walk: tuple, u, tol: float) -> int:
-    """Print max|reconstruct(circuit) - u| of a walked circuit and pass it if it is within ``tol``."""
+def _verdict(circuit, u, tol: float) -> int:
+    """Print max|reconstruct(circuit) - u| and pass the circuit if it is within ``tol``."""
+    space = circuit.space
     if u.shape != (space.dim, space.dim):
         raise DimensionError(
             f"matrix dimension {u.shape[0]} does not match circuit dimension {space.dim}"
         )
-    error = float(np.max(np.abs(_product(space, walk) - u)))
+    error = float(np.max(np.abs(reconstruct(circuit) - u)))
     print(f"reconstruction_error={error:.6e}")
     return EXIT_OK if error <= tol else EXIT_VERIFY_FAILED
 

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .circuits import BEAMSPLITTER, CONJUGATE, CS, INTERNAL, PHASE, Circuit, ModeSpace, _walk
+from .circuits import BEAMSPLITTER, CONJUGATE, CS, INTERNAL, PHASE, Circuit, ModeSpace, _record
 
 
 @dataclass(frozen=True)
@@ -65,12 +65,12 @@ def cost_report(space: ModeSpace) -> CostReport:
 
 
 def audit_circuit(circuit: Circuit) -> CostReport:
-    """Tally the element kinds that ``_walk`` reads in a compiled circuit into a report.
+    """Tally the element kinds of a compiled circuit's record (see ``reconstruct``) into a report.
 
     Refuses what ``reconstruct`` refuses, and stage-1 circuits, which still
     contain CS mixers: expand them first.
     """
-    counts = Counter(_walk(circuit)[-1])
+    counts = Counter(_record(circuit)[-1])
     if counts[CS]:
         raise ValueError("circuit contains CS blocks; expand them (stage 2) before auditing")
     return _report(circuit.space, counts[BEAMSPLITTER] + counts[CONJUGATE], counts[INTERNAL], counts[PHASE])

@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circuits import Beamsplitter, Circuit, CSBlock, InternalOp, ModeSpace, PhaseBlock
+from .circuits import BEAMSPLITTER, CONJUGATE, CS, INTERNAL, PHASE, Beamsplitter, Circuit, CSBlock, ModeSpace, PhaseBlock
+from .circuits import _held
 from .csd import csd_stack
 from .errors import DimensionError
 from .linalg import _numbers, require_unitary
 
 
-def _factor(u, space: ModeSpace) -> tuple[list, np.ndarray, list]:
+def _factor(u, space: ModeSpace) -> tuple[list, np.ndarray, np.ndarray]:
     """Stage 1's factors of ``u``: the core that both ``decompose_stage1`` and ``decompose`` build from.
 
     Step (c, r), for column block c and row block r > c, takes one complete
@@ -48,9 +49,10 @@ def _factor(u, space: ModeSpace) -> tuple[list, np.ndarray, list]:
     multiplied into one, all in one stacked product.
 
     Returns the first spatial mode k of each mixer in application order, as
-    Python ints; the mixers' angles, one row each; and the internal ops in
-    application order: ops[2j] on mode k+1 and ops[2j+1] on mode k before
-    mixer j, then the n_s ops after the last mixer, on modes n_s down to 1.
+    Python ints; the mixers' angles, one row each; and the stack of internal
+    ops in application order: ops[2j] on mode k+1 and ops[2j+1] on mode k
+    before mixer j, then the n_s ops after the last mixer, on modes n_s down
+    to 1.
     """
     # A copy, because the nulling works in place and, at n_s = 1, the
     # input itself is the one internal op.
@@ -63,7 +65,7 @@ def _factor(u, space: ModeSpace) -> tuple[list, np.ndarray, list]:
     require_unitary(u, "input")
     n_s, n_p = space.n_s, space.n_p
     if n_s == 1:
-        return [], np.empty((0, n_p)), [u]
+        return [], np.empty((0, n_p)), u[None]
 
     # The 2n_p x 2n_p unitaries in application order, V first and then the
     # Q's from last to first, each with the upper of its two spatial modes.
@@ -100,8 +102,8 @@ def _factor(u, space: ModeSpace) -> tuple[list, np.ndarray, list]:
     # left factors L' at j and L at count + j, then the diagonal blocks
     # D_1 .. D_(n_s-2). A scan over the mixers keeps in last[mode] the index
     # in lefts of the op that mode carries; V's two right factors meet
-    # nothing. The ops the circuit keeps from rights and lefts are copies,
-    # so that it keeps none of the rest of those stacks alive.
+    # nothing. The ops stack is a new array, so that the circuit keeps none
+    # of the rest of those stacks alive.
     rights = np.stack([right_bottom[1:], right_top[1:]], axis=1).reshape(-1, n_p, n_p).conj().swapaxes(1, 2)
     diagonal = u.reshape(n_s, n_p, n_s, n_p)[range(n_s - 2), :, range(n_s - 2)]
     lefts = np.concatenate([left_bottom, left_top, diagonal])
@@ -110,32 +112,42 @@ def _factor(u, space: ModeSpace) -> tuple[list, np.ndarray, list]:
     for j, k in enumerate(modes[1:], 1):
         before += [last[k + 1], last[k]]
         last[k + 1], last[k] = j, count + j
-    ops = [right_bottom[0].conj().T, right_top[0].conj().T, *(rights @ lefts[before]), *lefts[last[:0:-1]]]
+    first = np.stack([right_bottom[0], right_top[0]]).conj().swapaxes(1, 2)
+    ops = np.concatenate([first, rights @ lefts[before], lefts[last[:0:-1]]])
     return modes, thetas, ops
+
+
+def _circuit(u, space: ModeSpace, expand: bool) -> Circuit:
+    """The circuit of ``u`` as a record of ``_factor``'s stacks: the one builder of both compilers.
+
+    Before each mixer come its two internal ops, lower mode first; after the
+    last mixer come the n_s closing ops. A mixer is one CS block or, with
+    ``expand``, ``expand_cs_block``'s four elements: conjugated beamsplitter,
+    +θ phase block on its first mode, -θ phase block on its second, plain
+    beamsplitter. The circuit builds its element objects when they are read.
+    """
+    firsts, thetas, ops = _factor(u, space)
+    modes, values = [[] for _ in range(5)], [[] for _ in range(5)]
+    modes[INTERNAL] = [*(k for first in firsts for k in (first + 1, first)), *range(space.n_s, 0, -1)]
+    values[INTERNAL] = ops
+    if expand:
+        modes[CONJUGATE] = modes[BEAMSPLITTER] = firsts
+        modes[PHASE] = [k for first in firsts for k in (first, first + 1)]
+        values[PHASE] = np.stack([thetas, -thetas], axis=1).reshape(-1, space.n_p)
+        mixer = [CONJUGATE, PHASE, PHASE, BEAMSPLITTER]
+    else:
+        modes[CS], values[CS], mixer = firsts, thetas, [CS]
+    sequence = [INTERNAL, INTERNAL, *mixer] * len(firsts) + [INTERNAL] * space.n_s
+    return _held(space, (modes, values, sequence))
 
 
 def decompose_stage1(u, space: ModeSpace) -> Circuit:
     """Factor ``u`` into internal operations and CS mixers.
 
-    One of the two builders over ``_factor``'s stacks: each mixer becomes one
-    ``CSBlock`` on its row of the angle stack, after the two internal ops
-    before it. ``decompose`` is the other.
+    Each mixer is one ``CSBlock`` on its row of ``_factor``'s angle stack,
+    after the two internal ops before it.
     """
-    modes, thetas, ops = _factor(u, space)
-    elements = []
-    for k, bottom, top, theta in zip(modes, ops[::2], ops[1::2], thetas):
-        elements += [InternalOp(k + 1, bottom), InternalOp(k, top), CSBlock((k, k + 1), theta)]
-    elements += [InternalOp(mode, op) for mode, op in zip(range(space.n_s, 0, -1), ops[2 * len(modes) :])]
-    return Circuit(space, elements)
-
-
-def _mixer(k: int, l: int, plus: np.ndarray, minus: np.ndarray) -> list:
-    """The four elements of a CS mixer on modes (k, l), with +θ = ``plus`` and -θ = ``minus``.
-
-    The one copy of ``expand_cs_block``'s rule; both beamsplitters share one pair tuple.
-    """
-    pair = (k, l)
-    return [Beamsplitter(pair, conjugate=True), PhaseBlock(k, plus), PhaseBlock(l, minus), Beamsplitter(pair)]
+    return _circuit(u, space, expand=False)
 
 
 def expand_cs_block(block: CSBlock) -> list:
@@ -148,19 +160,14 @@ def expand_cs_block(block: CSBlock) -> list:
     """
     k, l = block.pair
     thetas = _numbers(type(block), block.thetas, "thetas", float)
-    return _mixer(k, l, thetas.copy(), -thetas)
+    pair = (k, l)  # both beamsplitters share one pair tuple
+    return [Beamsplitter(pair, conjugate=True), PhaseBlock(k, thetas.copy()), PhaseBlock(l, -thetas), Beamsplitter(pair)]
 
 
 def decompose(u, space: ModeSpace) -> Circuit:
     """Full compilation: ``decompose_stage1`` with ``expand_cs_block`` applied to every mixer, bit for bit.
 
-    The other builder over ``_factor``'s stacks, with no stage-1 circuit on
-    the way: each mixer's phase blocks are its row of the angle stack and of
-    one negated stack.
+    Built from ``_factor``'s stacks with no stage-1 circuit on the way: the
+    mixers' phase blocks are the rows of the angle stack and of its negation.
     """
-    modes, thetas, ops = _factor(u, space)
-    elements = []
-    for k, bottom, top, plus, minus in zip(modes, ops[::2], ops[1::2], thetas, -thetas):
-        elements += [InternalOp(k + 1, bottom), InternalOp(k, top), *_mixer(k, k + 1, plus, minus)]
-    elements += [InternalOp(mode, op) for mode, op in zip(range(space.n_s, 0, -1), ops[2 * len(modes) :])]
-    return Circuit(space, elements)
+    return _circuit(u, space, expand=True)

@@ -10,8 +10,9 @@ tagged by ``kind``:
     {"kind": "cs_block", "spatial_pair": [k, k+1], "thetas": [...]}
 
 The writer puts the header on the first line and each element on a line
-of its own. It checks the circuit with ``_walk``, which ``reconstruct``
-and the counts run too, and writes the walk's modes by kind: one line
+of its own. It reads the circuit's record, as ``reconstruct`` and the
+counts do (the record the circuit holds, or a checking walk of its
+elements), and writes it by kind: one line
 template per kind with ``%r`` float slots, the text ``json`` writes,
 filled from one element's floats at a time, and one finiteness check per
 kind. Floats are written with ``repr`` precision, so a round trip is
@@ -21,8 +22,10 @@ Writer and reader refuse the same documents, and of several faults both
 report an index before a value. The reader checks each kind's numeric
 fields as one stack (fixed shape, JSON numbers only, all finite), each
 index and pair with the walker's own checks and all internal matrices for
-unitarity in one call. It rejects unknown versions; silent misreads are
-worse than failures. Both take each kind's keys from one table, ``_ROWS``.
+unitarity in one call, and returns a circuit that holds the record of
+these columns: its element objects are built when first read. It rejects
+unknown versions; silent misreads are worse than failures. Both take each
+kind's keys from one table, ``_ROWS``.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import json
 import numpy as np
 
 from .circuits import Beamsplitter, Circuit, CSBlock, InternalOp, ModeSpace, PhaseBlock
-from .circuits import BEAMSPLITTER, CONJUGATE, CS, INTERNAL, PHASE, _KINDS, _check_mode, _check_pair, _walk
+from .circuits import BEAMSPLITTER, CONJUGATE, CS, INTERNAL, PHASE, _KINDS, _check_mode, _check_pair, _held, _record
 from .errors import CircuitFormatError, UnsupportedVersionError
 from .linalg import require_unitary
 
@@ -88,12 +91,12 @@ def serialize(circuit: Circuit) -> str:
     element in document order, then ``ValueError`` for a value that is not
     finite and ``UnitarityError`` if any internal operation is not unitary.
     """
-    return _document(circuit.space, _walk(circuit))
+    return _document(circuit.space, _record(circuit))
 
 
-def _document(space: ModeSpace, walk: tuple) -> str:
-    """``serialize``'s text from the record of ``_walk`` over a circuit on ``space``."""
-    modes, _, values, sequence = walk
+def _document(space: ModeSpace, record: tuple) -> str:
+    """``serialize``'s text from the record of a circuit on ``space``."""
+    modes, values, sequence = record
     lines = {}
     # Internal ops last, so that every kind is checked finite before any op for unitarity.
     for code in (CS, CONJUGATE, BEAMSPLITTER, PHASE, INTERNAL):
@@ -138,7 +141,7 @@ def _numbers(values: list, shape: tuple[int, ...], what: str) -> np.ndarray:
 
 
 def _columns(kind: str, objs: list, space: ModeSpace) -> tuple:
-    """Element class and its two constructor arguments, one column each, for one kind."""
+    """One kind's elements as record columns: each one's kind code, each one's first mode, their value stack."""
     cls, _, index_key, value_key = _BY_KIND[kind]
     indices = [obj.get(index_key) for obj in objs]
     # A missing conjugate reads as false; a missing array fails its shape test.
@@ -151,18 +154,20 @@ def _columns(kind: str, objs: list, space: ModeSpace) -> tuple:
             all(type(p) is list and len(p) == 2 and type(p[0]) is type(p[1]) is int for p in indices),
             "spatial_pair must be a two-element integer array",
         )
-        indices, check = list(map(tuple, indices)), _check_pair
+        check = _check_pair
     for index in indices:
         check(index, space)
-    n_p = space.n_p
+    firsts = indices if index_key == "spatial_index" else [pair[0] for pair in indices]
+    n_p, code = space.n_p, _KINDS[cls]
     if value_key == "conjugate":
         _require(set(map(type, values)) <= {bool}, "conjugate must be a boolean")
-    elif value_key == "matrix":
+        return [BEAMSPLITTER + flag for flag in values], firsts, []
+    if value_key == "matrix":
         # The view keeps every bit of each [re, im] pair, the sign of a zero included.
         values = _numbers(values, (n_p, n_p, 2), "matrix").view(complex)[..., 0]
     else:
         values = _numbers(values, (n_p,), value_key)
-    return cls, indices, values
+    return [code] * len(objs), firsts, values
 
 
 def deserialize(text: str) -> Circuit:
@@ -200,5 +205,10 @@ def deserialize(text: str) -> Circuit:
     columns = {kind: _columns(kind, group, space) for kind, group in groups.items()}
     if "internal" in columns:
         require_unitary(columns["internal"][2], "an internal operation")
-    made = {kind: map(cls, first, second) for kind, (cls, first, second) in columns.items()}
-    return Circuit(space, [next(made[kind]) for kind in kinds])
+    modes, values = [[] for _ in range(5)], [[] for _ in range(5)]
+    for codes, firsts, stack in columns.values():
+        for code, k in zip(codes, firsts):
+            modes[code].append(k)
+        values[codes[0]] = stack  # empty for beamsplitters
+    codes = {kind: iter(columns[kind][0]) for kind in columns}
+    return _held(space, (modes, values, [next(codes[kind]) for kind in kinds]))

@@ -23,7 +23,7 @@ from modemix import (
     reconstruct,
     serialize,
 )
-from modemix.circuits import BEAMSPLITTER_2, _check_mode, _check_pair
+from modemix.circuits import BEAMSPLITTER_2, _check_mode, _check_pair, _record, _walk
 
 from conftest import max_abs
 
@@ -525,6 +525,22 @@ class TestCompiledAndReadCircuits:
         plain = self.plain(circuit)
         assert [outcome(function, plain) for function in OUTPUTS] == got
         assert [outcome(function, circuit) for function in OUTPUTS] == got
+
+    @pytest.mark.parametrize("maker", list(MAKERS))
+    @pytest.mark.parametrize("n_s,n_p", [(1, 2), (2, 1), (4, 3), (6, 1)])
+    def test_held_record_is_the_walk_of_its_elements(self, maker, n_s, n_p):
+        space = ModeSpace(n_s, n_p)
+        circuit = self.MAKERS[maker](haar_random_unitary(space.dim, n_s), space)
+        modes, values, sequence = _record(circuit)
+        assert "elements" not in vars(circuit)  # read from the held record, not from elements
+        walk_modes, walk_values, walk_sequence = _walk(self.plain(circuit))
+        assert "_held" not in vars(circuit)
+        assert modes == walk_modes and sequence == walk_sequence
+        assert all(type(k) is int for kind in modes for k in kind)
+        for value, walked in zip(values, walk_values):
+            assert len(value) == len(walked)
+            if len(value):
+                assert_same_bits(np.asarray(value), walked)
 
     @staticmethod
     def fresh(maker):

@@ -26,6 +26,15 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def count_walks(monkeypatch) -> list:
+    """A list that gains an entry at each call of the element walk, from any module that calls it."""
+    calls, walk = [], sys.modules["modemix.circuits"]._walk
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "modemix" and hasattr(module, "_walk"):
+            monkeypatch.setattr(module, "_walk", lambda circuit: calls.append(1) or walk(circuit))
+    return calls
+
+
 @pytest.fixture
 def haar_file(tmp_path):
     def make(dim, seed, name="input.mat"):
@@ -98,14 +107,12 @@ class TestDecompose:
         assert sum(e["kind"] == "cs_block" for e in doc["elements"]) == 6
 
     @pytest.mark.parametrize("flags", [[], ["--stage1-only"]])
-    def test_walks_its_circuit_once(self, tmp_path, monkeypatch, haar_file, flags):
-        # The file, the counts line and the verdict all read one walk record.
-        walk, calls = sys.modules["modemix.circuits"]._walk, []
-        for module in ("modemix.circuits", "modemix.serialization", "modemix.cli"):
-            monkeypatch.setattr(sys.modules[module], "_walk", lambda circuit: calls.append(1) or walk(circuit))
+    def test_walks_no_circuit(self, tmp_path, monkeypatch, haar_file, flags):
+        # The file, the counts line and the verdict all read the record the compiler built.
+        calls = count_walks(monkeypatch)
         inp, out = haar_file(8, 5), tmp_path / "c.json"
         assert run(["decompose", inp, out, "--ns", 4, "--np", 2, *flags]) == 0
-        assert len(calls) == 1
+        assert len(calls) == 0
 
     def test_error_above_tol_exits_1(self, tmp_path, capsys):
         from modemix import save_matrix
@@ -191,6 +198,15 @@ class TestVerify:
         out = tmp_path / "c.json"
         assert run(["decompose", inp, out, "--ns", 3, "--np", 2]) == 0
         assert run(["verify", out, inp]) == 0
+
+    @pytest.mark.parametrize("flags", [[], ["--stage1-only"]])
+    def test_walks_no_circuit(self, tmp_path, monkeypatch, haar_file, flags):
+        # The verdict reads the record the reader built.
+        inp, out = haar_file(8, 5), tmp_path / "c.json"
+        assert run(["decompose", inp, out, "--ns", 4, "--np", 2, *flags]) == 0
+        calls = count_walks(monkeypatch)
+        assert run(["verify", out, inp]) == 0
+        assert len(calls) == 0
 
     def test_wrong_matrix_exits_1(self, tmp_path, haar_file):
         inp = haar_file(6, 2)
