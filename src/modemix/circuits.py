@@ -103,9 +103,9 @@ class Circuit:
 
     A circuit built by ``_held`` keeps the record it was made from and no
     element list. The first read of ``elements`` builds the list from the
-    record and drops the record, as does assigning a list. Until then the
-    readers take the record in place of a walk, while ``space`` is still the
-    space it was built for.
+    record and drops the record. Until then the readers take the record in
+    place of a walk, unless a list has been assigned or ``space`` is no
+    longer the space it was built for.
     """
 
     space: ModeSpace
@@ -113,16 +113,11 @@ class Circuit:
 
     def __getattr__(self, name):
         # Called only for a name the instance lacks: a held circuit's elements.
-        held = self.__dict__.get("_held")
-        if name != "elements" or held is None:
+        held = self.__dict__.pop("_held", None) if name == "elements" else None
+        if held is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         self.elements = _elements(held[1])
         return self.elements
-
-    def __setattr__(self, name, value):
-        if name == "elements":  # a record that no longer matches the elements is never read
-            self.__dict__.pop("_held", None)
-        object.__setattr__(self, name, value)
 
 
 def _held(space: ModeSpace, record: tuple) -> Circuit:
@@ -138,8 +133,9 @@ def _held(space: ModeSpace, record: tuple) -> Circuit:
 
 def _record(circuit: Circuit) -> tuple:
     """The record that ``reconstruct``, ``serialize`` and the counts read: the held one, or ``_walk``'s."""
-    held = getattr(circuit, "_held", None)
-    if held is not None and held[0] == circuit.space:
+    state = vars(circuit)
+    held = state.get("_held")
+    if held is not None and "elements" not in state and held[0] == circuit.space:
         return held[1]
     return _walk(circuit)
 
@@ -261,21 +257,6 @@ def _elements(record: tuple) -> list:
     return [next(made[kind]) for kind in sequence]
 
 
-def reconstruct(circuit: Circuit) -> np.ndarray:
-    """Total matrix of a circuit: the product of its elements.
-
-    Reads the circuit's record (the held one, or ``_walk``'s, which checks
-    the elements) and layers its elements in one scan; those of one layer
-    act on disjoint rows and commute. Each kind's blocks are built in one
-    call, in (layer, first mode) order; the two beamsplitter blocks,
-    kron(B, 1) and kron(B†, 1), are broadcast, not copied. A group is a run of one kind's
-    elements in one layer on abutting rows, so it is one batched product on
-    one band view. The result is bit for bit that of applying the elements
-    one at a time; an empty circuit gives the identity.
-    """
-    return _product(circuit.space, _record(circuit))
-
-
 def _layers(modes: list, sequence: list) -> list:
     """Each element's as-soon-as-possible layer, one list per kind code: one after every earlier element on its modes."""
     depth = defaultdict(int)  # deepest layer on each mode met; a list would take O(n_s)
@@ -291,10 +272,20 @@ def _layers(modes: list, sequence: list) -> list:
     return layers
 
 
-def _product(space: ModeSpace, record: tuple) -> np.ndarray:
-    """``reconstruct``'s matrix from the record of a circuit on ``space``."""
-    n_p, dim = space.n_p, space.dim
-    modes, values, sequence = record
+def reconstruct(circuit: Circuit) -> np.ndarray:
+    """Total matrix of a circuit: the product of its elements.
+
+    Reads the circuit's record (the held one, or ``_walk``'s, which checks
+    the elements) and layers its elements in one scan; those of one layer
+    act on disjoint rows and commute. Each kind's blocks are built in one
+    call, in (layer, first mode) order; the two beamsplitter blocks,
+    kron(B, 1) and kron(B†, 1), are broadcast, not copied. A group is a run of one kind's
+    elements in one layer on abutting rows, so it is one batched product on
+    one band view. The result is bit for bit that of applying the elements
+    one at a time; an empty circuit gives the identity.
+    """
+    n_p, dim = circuit.space.n_p, circuit.space.dim
+    modes, values, sequence = _record(circuit)
     _require_fits(dim)  # and so every mode and row index fits an intp
 
     runs = []  # each kind's groups in layer order: (layer, first row, element count, blocks)

@@ -18,12 +18,11 @@ import json
 import math
 import os
 import sys
-from collections import Counter
 
 import numpy as np
 
-from .circuits import BEAMSPLITTER, CONJUGATE, CS, INTERNAL, PHASE, ModeSpace, _record, reconstruct
-from .costs import cost_report
+from .circuits import ModeSpace, reconstruct
+from .costs import _tally, cost_report
 from .csd import csd
 from .decompose import decompose, decompose_stage1
 from .errors import CircuitFormatError, DimensionError, MatrixFormatError, UnitarityError
@@ -112,11 +111,10 @@ def _tolerance_ok(tol: float) -> None:
 
 
 def _counts_line(circuit) -> str:
-    counts = Counter(_record(circuit)[-1])
-    if counts[CS]:
-        return f"internal={counts[INTERNAL]} cs_blocks={counts[CS]}"
-    beamsplitters = counts[BEAMSPLITTER] + counts[CONJUGATE]
-    return f"beamsplitters={beamsplitters} internal={counts[INTERNAL]} phase_blocks={counts[PHASE]}"
+    beamsplitters, internal, phase_blocks, cs_blocks = _tally(circuit)
+    if cs_blocks:
+        return f"internal={internal} cs_blocks={cs_blocks}"
+    return f"beamsplitters={beamsplitters} internal={internal} phase_blocks={phase_blocks}"
 
 
 def _cmd_decompose(args) -> int:

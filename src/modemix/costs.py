@@ -65,12 +65,18 @@ def cost_report(space: ModeSpace) -> CostReport:
 
 
 def audit_circuit(circuit: Circuit) -> CostReport:
-    """Tally the element kinds of a compiled circuit's record (see ``reconstruct``) into a report.
+    """Tally the element kinds of a compiled circuit (see ``_tally``) into a report.
 
     Refuses what ``reconstruct`` refuses, and stage-1 circuits, which still
     contain CS mixers: expand them first.
     """
-    counts = Counter(_record(circuit)[-1])
-    if counts[CS]:
+    beamsplitters, internal, phase_blocks, cs_blocks = _tally(circuit)
+    if cs_blocks:
         raise ValueError("circuit contains CS blocks; expand them (stage 2) before auditing")
-    return _report(circuit.space, counts[BEAMSPLITTER] + counts[CONJUGATE], counts[INTERNAL], counts[PHASE])
+    return _report(circuit.space, beamsplitters, internal, phase_blocks)
+
+
+def _tally(circuit: Circuit) -> tuple[int, int, int, int]:
+    """Beamsplitters (plain and conjugate), internal ops, phase blocks and CS blocks in a circuit's record."""
+    counts = Counter(_record(circuit)[-1])
+    return counts[BEAMSPLITTER] + counts[CONJUGATE], counts[INTERNAL], counts[PHASE], counts[CS]

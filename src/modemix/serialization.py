@@ -25,7 +25,7 @@ index and pair with the walker's own checks and all internal matrices for
 unitarity in one call, and returns a circuit that holds the record of
 these columns: its element objects are built when first read. It rejects
 unknown versions; silent misreads are worse than failures. Both take each
-kind's keys from one table, ``_ROWS``.
+kind's keys from one table, ``_ROWS``, keyed by kind code.
 """
 
 from __future__ import annotations
@@ -34,30 +34,30 @@ import json
 
 import numpy as np
 
-from .circuits import Beamsplitter, Circuit, CSBlock, InternalOp, ModeSpace, PhaseBlock
-from .circuits import BEAMSPLITTER, CONJUGATE, CS, INTERNAL, PHASE, _KINDS, _check_mode, _check_pair, _held, _record
+from .circuits import BEAMSPLITTER, CONJUGATE, CS, INTERNAL, PHASE, Circuit, ModeSpace
+from .circuits import _check_mode, _check_pair, _held, _record
 from .errors import CircuitFormatError, UnsupportedVersionError
 from .linalg import require_unitary
 
 FORMAT_VERSION = "1"
 
 
-# One row per element class: the class, its file kind, its index key and its value key.
-_ROWS = (
-    (InternalOp, "internal", "spatial_index", "matrix"),
-    (Beamsplitter, "beamsplitter", "spatial_pair", "conjugate"),
-    (PhaseBlock, "phase_block", "spatial_index", "phases"),
-    (CSBlock, "cs_block", "spatial_pair", "thetas"),
-)
-_BY_KIND = {row[1]: row for row in _ROWS}
-# The writer's row for each of the walker's kind codes; both beamsplitter codes share one.
-_BY_CODE = {_KINDS[row[0]]: row for row in _ROWS}
-_BY_CODE[CONJUGATE] = _BY_CODE[BEAMSPLITTER]
+# One row per kind code: its file kind, its index key and its value key.
+# Both beamsplitter codes share a row; the conjugate flag tells them apart.
+_ROWS = {
+    INTERNAL: ("internal", "spatial_index", "matrix"),
+    PHASE: ("phase_block", "spatial_index", "phases"),
+    BEAMSPLITTER: ("beamsplitter", "spatial_pair", "conjugate"),
+    CONJUGATE: ("beamsplitter", "spatial_pair", "conjugate"),
+    CS: ("cs_block", "spatial_pair", "thetas"),
+}
+# The kind code of each file kind; the reader adds a beamsplitter's conjugate flag to it.
+_CODES = {_ROWS[code][0]: code for code in (INTERNAL, PHASE, BEAMSPLITTER, CS)}
 
 
 def _template(code: int, n_p: int) -> str:
     """One kind's line: %d slots for the index or pair, %r slots (``json``'s float text) for floats."""
-    _, kind, index_key, value_key = _BY_CODE[code]
+    kind, index_key, value_key = _ROWS[code]
     index = "%d" if index_key == "spatial_index" else "[%d, %d]"
     if value_key == "conjugate":
         value = "true" if code == CONJUGATE else "false"
@@ -70,7 +70,7 @@ def _template(code: int, n_p: int) -> str:
 
 def _lines(code: int, modes: list, values: list, n_p: int):
     """The lines of one kind's elements in document order, once their values are checked."""
-    _, kind, index_key, value_key = _BY_CODE[code]
+    kind, index_key, value_key = _ROWS[code]
     heads = ((k,) for k in modes) if index_key == "spatial_index" else ((k, k + 1) for k in modes)
     stack = np.empty((len(modes), 0)) if value_key == "conjugate" else np.array(values)
     if not np.isfinite(stack).all():
@@ -91,12 +91,8 @@ def serialize(circuit: Circuit) -> str:
     element in document order, then ``ValueError`` for a value that is not
     finite and ``UnitarityError`` if any internal operation is not unitary.
     """
-    return _document(circuit.space, _record(circuit))
-
-
-def _document(space: ModeSpace, record: tuple) -> str:
-    """``serialize``'s text from the record of a circuit on ``space``."""
-    modes, values, sequence = record
+    space = circuit.space
+    modes, values, sequence = _record(circuit)
     lines = {}
     # Internal ops last, so that every kind is checked finite before any op for unitarity.
     for code in (CS, CONJUGATE, BEAMSPLITTER, PHASE, INTERNAL):
@@ -142,7 +138,8 @@ def _numbers(values: list, shape: tuple[int, ...], what: str) -> np.ndarray:
 
 def _columns(kind: str, objs: list, space: ModeSpace) -> tuple:
     """One kind's elements as record columns: each one's kind code, each one's first mode, their value stack."""
-    cls, _, index_key, value_key = _BY_KIND[kind]
+    code = _CODES[kind]
+    _, index_key, value_key = _ROWS[code]
     indices = [obj.get(index_key) for obj in objs]
     # A missing conjugate reads as false; a missing array fails its shape test.
     values = [obj.get(value_key, False) for obj in objs]
@@ -158,15 +155,14 @@ def _columns(kind: str, objs: list, space: ModeSpace) -> tuple:
     for index in indices:
         check(index, space)
     firsts = indices if index_key == "spatial_index" else [pair[0] for pair in indices]
-    n_p, code = space.n_p, _KINDS[cls]
     if value_key == "conjugate":
         _require(set(map(type, values)) <= {bool}, "conjugate must be a boolean")
         return [BEAMSPLITTER + flag for flag in values], firsts, []
     if value_key == "matrix":
         # The view keeps every bit of each [re, im] pair, the sign of a zero included.
-        values = _numbers(values, (n_p, n_p, 2), "matrix").view(complex)[..., 0]
+        values = _numbers(values, (space.n_p, space.n_p, 2), "matrix").view(complex)[..., 0]
     else:
-        values = _numbers(values, (n_p,), value_key)
+        values = _numbers(values, (space.n_p,), value_key)
     return [code] * len(objs), firsts, values
 
 
@@ -199,7 +195,7 @@ def deserialize(text: str) -> Circuit:
     kinds = [obj.get("kind") for obj in objs]
     groups = {}
     for kind, obj in zip(kinds, objs):
-        if type(kind) is not str or kind not in _BY_KIND:  # an unhashable kind is refused too
+        if type(kind) is not str or kind not in _CODES:  # an unhashable kind is refused too
             raise CircuitFormatError(f"unknown element kind {kind!r}")
         groups.setdefault(kind, []).append(obj)
     columns = {kind: _columns(kind, group, space) for kind, group in groups.items()}

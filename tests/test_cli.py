@@ -27,11 +27,10 @@ def run(args):
 
 
 def count_walks(monkeypatch) -> list:
-    """A list that gains an entry at each call of the element walk, from any module that calls it."""
-    calls, walk = [], sys.modules["modemix.circuits"]._walk
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "modemix" and hasattr(module, "_walk"):
-            monkeypatch.setattr(module, "_walk", lambda circuit: calls.append(1) or walk(circuit))
+    """A list that gains an entry at each call of the element walk, which ``_record`` reaches through its module."""
+    calls, circuits = [], sys.modules["modemix.circuits"]
+    walk = circuits._walk
+    monkeypatch.setattr(circuits, "_walk", lambda circuit: calls.append(1) or walk(circuit))
     return calls
 
 
