@@ -41,8 +41,10 @@ print(f"\ncircuit document: format_version={head['format_version']}, "
 print("first element:", json.dumps(head["elements"][2]))
 
 restored = deserialize(document)
+assert restored == circuit  # the same elements, every value equal
 error = np.max(np.abs(reconstruct(restored) - u))
-print(f"\nreconstruction error after round trip: {error:.2e}")
+print(f"\nread circuit equals the written one: {restored == circuit}")
+print(f"reconstruction error after round trip: {error:.2e}")
 
 # tampering with a single phase is caught by re-verification
 head["elements"][3]["phases"][0] += 0.1

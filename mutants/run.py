@@ -29,8 +29,8 @@ MUTANTS = [
     (
         "the reader adds 0.0 to every phase",
         SERIALIZATION,
-        "values = _numbers(values, (n_p,), value_key)",
-        "values = _numbers(values, (n_p,), value_key) + 0.0",
+        "values = _numbers(values, (space.n_p,), value_key)",
+        "values = _numbers(values, (space.n_p,), value_key) + 0.0",
         ["tests/test_serialization.py"],
     ),
     (
@@ -286,6 +286,27 @@ MUTANTS = [
         "and held[0] == circuit.space:",
         ":",
         ["tests/test_circuits.py"],
+    ),
+    (
+        "element equality takes a subclass instance as its base's",
+        CIRCUITS,
+        "    if type(a) is not type(b):\n",
+        "    if not isinstance(b, type(a)):\n",
+        ["tests/test_circuits.py"],
+    ),
+    (
+        "_factor casts its matrix with dtype=complex again",
+        "src/modemix/decompose.py",
+        'u = np.array(_numbers(owner, u, "input", complex))',
+        "u = np.array(u, dtype=complex)",
+        ["tests/test_decompose.py"],
+    ),
+    (
+        "csd casts its matrix with dtype=complex again",
+        "src/modemix/csd.py",
+        'u = _numbers(csd, u, "input", complex)',
+        "u = np.asarray(u, dtype=complex)",
+        ["tests/test_csd.py"],
     ),
     (
         "_require_fits divides the index limit by 17, not 16",

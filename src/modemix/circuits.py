@@ -14,9 +14,15 @@ first spatial modes and a stack of their values, plus the kind code of
 every element in document order. ``_walk`` checks a circuit's elements and
 gives its record. A circuit that ``decompose``, ``decompose_stage1`` or
 ``deserialize`` returns holds the record it was built from instead, and
-builds its element objects only when ``elements`` is first read; the record
-is then dropped. Only ``reconstruct`` needs layers, and it scans the record
-for them itself.
+builds its element objects only when ``elements`` is first read, which drops
+the record; the readers take a held record only while no element list has
+been read or assigned and ``space`` is the space it was built for. Only
+``reconstruct`` needs layers, and it scans the record for them itself.
+
+Two circuits are equal (``==``) when their spaces are equal and their
+elements are equal pair by pair, which builds the elements of both. Two
+elements are equal when they have the same exact type and every field is
+equal under ``np.array_equal``; an element that holds an array has no hash.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from __future__ import annotations
 import heapq
 import operator
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import repeat
 from typing import Union
 
@@ -62,12 +68,20 @@ class ModeSpace:
         return self.n_s * self.n_p
 
 
+def _same(a, b):
+    """Element equality: one exact type, and every field equal under ``np.array_equal``."""
+    if type(a) is not type(b):
+        return NotImplemented
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+
+
 @dataclass(frozen=True)
 class InternalOp:
     """Arbitrary n_p x n_p unitary on the internal modes of one spatial mode."""
 
     mode: int
     matrix: np.ndarray
+    __eq__ = _same
 
 
 @dataclass(frozen=True)
@@ -84,6 +98,7 @@ class PhaseBlock:
 
     mode: int
     phases: np.ndarray
+    __eq__ = _same
 
 
 @dataclass(frozen=True)
@@ -92,6 +107,7 @@ class CSBlock:
 
     pair: tuple[int, int]
     thetas: np.ndarray
+    __eq__ = _same
 
 
 CircuitElement = Union[InternalOp, Beamsplitter, PhaseBlock, CSBlock]

@@ -106,11 +106,12 @@ def block_partition(u, m: int):
 def csd(u, m: int) -> CSDResult:
     """Cosine-sine decompose a unitary matrix with top block size ``m``.
 
-    Only m <= n is supported. Raises ``UnitarityError`` (carrying the
-    measured deviation) if the input fails ``require_unitary`` and
+    Only m <= n is supported. Raises ``TypeError`` for an input that does
+    not hold integers, floats or complex numbers, ``UnitarityError``
+    (carrying the measured deviation) if it fails ``require_unitary`` and
     ``DimensionError`` for invalid block sizes.
     """
-    u = np.asarray(u, dtype=complex)
+    u = _numbers(csd, u, "input", complex)
     block_partition(u, m)  # for its square and block-size checks
     n = u.shape[0] - m
     if m > n:

@@ -28,7 +28,7 @@ from .errors import DimensionError
 from .linalg import _numbers, require_unitary
 
 
-def _factor(u, space: ModeSpace) -> tuple[list, np.ndarray, np.ndarray]:
+def _factor(u, space: ModeSpace, owner) -> tuple[list, np.ndarray, np.ndarray]:
     """Stage 1's factors of ``u``: the core that both ``decompose_stage1`` and ``decompose`` build from.
 
     Step (c, r), for column block c and row block r > c, takes one complete
@@ -48,6 +48,9 @@ def _factor(u, space: ModeSpace) -> tuple[list, np.ndarray, np.ndarray]:
     operations that meet on one mode between two of its mixers are
     multiplied into one, all in one stacked product.
 
+    ``u`` must hold integers, floats or complex numbers; ``owner``, the
+    compiler called, names it in the ``TypeError``.
+
     Returns the first spatial mode k of each mixer in application order, as
     Python ints; the mixers' angles, one row each; and the stack of internal
     ops in application order: ops[2j] on mode k+1 and ops[2j+1] on mode k
@@ -56,7 +59,7 @@ def _factor(u, space: ModeSpace) -> tuple[list, np.ndarray, np.ndarray]:
     """
     # A copy, because the nulling works in place and, at n_s = 1, the
     # input itself is the one internal op.
-    u = np.array(u, dtype=complex)
+    u = np.array(_numbers(owner, u, "input", complex))
     if u.shape != (space.dim, space.dim):
         raise DimensionError(
             f"matrix shape {u.shape} does not match mode space "
@@ -126,7 +129,7 @@ def _circuit(u, space: ModeSpace, expand: bool) -> Circuit:
     +θ phase block on its first mode, -θ phase block on its second, plain
     beamsplitter. The circuit builds its element objects when they are read.
     """
-    firsts, thetas, ops = _factor(u, space)
+    firsts, thetas, ops = _factor(u, space, decompose if expand else decompose_stage1)
     modes, values = [[] for _ in range(5)], [[] for _ in range(5)]
     modes[INTERNAL] = [*(k for first in firsts for k in (first + 1, first)), *range(space.n_s, 0, -1)]
     values[INTERNAL] = ops

@@ -23,7 +23,10 @@ report an index before a value. The reader checks each kind's numeric
 fields as one stack (fixed shape, JSON numbers only, all finite), each
 index and pair with the walker's own checks and all internal matrices for
 unitarity in one call, and returns a circuit that holds the record of
-these columns: its element objects are built when first read. It rejects
+these columns: its element objects are built when first read, and until
+then its readers take the record, unless an element list is assigned or
+its space is changed. A compiled circuit read back equals the one written,
+``deserialize(serialize(c)) == c``, element by element. The reader rejects
 unknown versions; silent misreads are worse than failures. Both take each
 kind's keys from one table, ``_ROWS``, keyed by kind code.
 """

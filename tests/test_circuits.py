@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import re
 
@@ -475,6 +476,74 @@ class TestExactKinds:
         for walk in (reconstruct, lambda c: embed(c.elements[0], space), serialize, audit_circuit):
             with pytest.raises(TypeError, match="^unknown circuit element type: Op$"):
                 walk(Circuit(space, [element]))
+
+
+class TestEquality:
+    """Elements are equal when of one exact type with every field equal under np.array_equal."""
+
+    @pytest.mark.parametrize("compiler", [decompose, decompose_stage1])
+    @pytest.mark.parametrize("n_s,n_p", [(2, 2), (3, 2)])
+    def test_equal_compiled_circuits_compare_equal(self, compiler, n_s, n_p):
+        space = ModeSpace(n_s, n_p)
+        u = haar_random_unitary(space.dim, n_s + n_p)
+        circuit = compiler(u, space)
+        assert circuit == compiler(u, space) and not circuit != compiler(u, space)
+        assert deserialize(serialize(circuit)) == circuit
+        assert Circuit(space, [dataclasses.replace(e) for e in circuit.elements]) == circuit
+
+    @pytest.mark.parametrize("compiler", [decompose, decompose_stage1])
+    def test_a_changed_value_mode_or_flag_compares_unequal(self, compiler):
+        space = ModeSpace(3, 2)
+        u = haar_random_unitary(space.dim, 3)
+        circuit = compiler(u, space)
+        changes = {
+            InternalOp: lambda e: dataclasses.replace(e, mode=e.mode % 3 + 1),
+            PhaseBlock: lambda e: dataclasses.replace(e, phases=e.phases + [0.0, 1e-12]),
+            Beamsplitter: lambda e: dataclasses.replace(e, conjugate=not e.conjugate),
+            CSBlock: lambda e: dataclasses.replace(e, thetas=e.thetas + [0.0, 1e-12]),
+        }
+        for i, element in enumerate(circuit.elements):
+            other = compiler(u, space)
+            other.elements[i] = changes[type(element)](element)
+            assert circuit != other and not circuit == other, i
+
+    @pytest.mark.parametrize(
+        "element,changed",
+        [
+            (InternalOp(1, np.eye(2)), InternalOp(2, np.eye(2))),
+            (InternalOp(1, np.eye(2)), InternalOp(1, np.eye(2)[::-1])),
+            (InternalOp(1, np.eye(2)), InternalOp(1, np.eye(3))),
+            (PhaseBlock(1, [0.1, 0.2]), PhaseBlock(1, [0.1, 0.3])),
+            (PhaseBlock(1, [0.1, 0.2]), PhaseBlock(2, [0.1, 0.2])),
+            (CSBlock((1, 2), [0.1]), CSBlock((1, 2), [0.2])),
+            (CSBlock((1, 2), [0.1]), CSBlock((2, 3), [0.1])),
+            (Beamsplitter((1, 2)), Beamsplitter((1, 2), conjugate=True)),
+        ],
+    )
+    def test_a_changed_field_is_unequal(self, element, changed):
+        assert element != changed and not element == changed
+        assert element == copy.deepcopy(element)
+
+    @pytest.mark.parametrize(
+        "base,args",
+        [
+            (InternalOp, (1, np.eye(1))),
+            (PhaseBlock, (1, np.zeros(1))),
+            (Beamsplitter, ((1, 2),)),
+            (CSBlock, ((1, 2), np.zeros(1))),
+        ],
+    )
+    def test_a_subclass_instance_is_unequal(self, base, args):
+        element, sub = base(*args), type("Op", (base,), {})(*args)
+        assert element != sub and sub != element
+        assert not element == sub and not sub == element
+
+    @pytest.mark.parametrize(
+        "element", [InternalOp(1, np.eye(1)), PhaseBlock(1, np.zeros(1)), CSBlock((1, 2), np.zeros(1))]
+    )
+    def test_elements_with_arrays_are_unhashable(self, element):
+        with pytest.raises(TypeError):
+            hash(element)
 
 
 def outcome(function, circuit):

@@ -145,6 +145,21 @@ def _rect_diag(values, rows, cols):
 
 
 class TestCsd:
+    @pytest.mark.parametrize(
+        "u,dtype",
+        [([["1", "0"], ["0", "1"]], "<U1"), (np.eye(2, dtype=bool), "bool"), (np.eye(4).astype(object), "object")],
+    )
+    def test_refuses_what_a_circuit_refuses(self, u, dtype):
+        with pytest.raises(TypeError, match=f"^{re.escape(f'csd input must be numbers, got dtype {dtype}')}$"):
+            csd(u, 1)
+
+    @pytest.mark.parametrize("dtype", [np.int8, int, np.float32, float, np.complex64])
+    def test_takes_integers_floats_and_complex(self, dtype):
+        p = np.eye(5)[[2, 0, 4, 1, 3]]
+        got, expected = csd(p.astype(dtype), 2), csd(p.astype(complex), 2)
+        for name in ("left_top", "left_bottom", "thetas", "right_top", "right_bottom"):
+            assert np.array_equal(getattr(got, name), getattr(expected, name)), name
+
     def test_identity(self):
         result = csd(np.eye(4), 2)
         assert np.allclose(result.thetas, 0.0)

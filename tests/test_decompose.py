@@ -1,3 +1,4 @@
+import re
 import sys
 
 import numpy as np
@@ -139,6 +140,33 @@ class TestExpandCsBlock:
         for element in expand_cs_block(block):
             product = embed(element, space) @ product
         assert max_abs(product, embed(block, space)) <= 1e-12
+
+
+class TestValueRule:
+    """The matrix is refused as circuit values are: integers, floats and complex numbers only."""
+
+    @pytest.mark.parametrize("compiler", [decompose, decompose_stage1])
+    @pytest.mark.parametrize(
+        "u,n_s,dtype",
+        [
+            (np.array([[True]]), 1, "bool"),
+            ([["1"]], 1, "<U1"),
+            (np.eye(4, dtype=bool), 2, "bool"),
+            (np.eye(4).astype(object), 2, "object"),
+        ],
+    )
+    def test_refuses_what_a_circuit_refuses(self, compiler, u, n_s, dtype):
+        message = f"{compiler.__name__} input must be numbers, got dtype {dtype}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            compiler(u, ModeSpace(n_s, len(u) // n_s))
+
+    @pytest.mark.parametrize("compiler", [decompose, decompose_stage1])
+    @pytest.mark.parametrize("dtype", [np.int8, int, np.float32, float, np.complex64])
+    def test_takes_integers_floats_and_complex(self, compiler, dtype):
+        space = ModeSpace(3, 2)
+        u = np.eye(6)[[1, 0, 3, 2, 5, 4]]
+        assert serialize(compiler(u.astype(dtype), space)) == serialize(compiler(u.astype(complex), space))
+        assert serialize(compiler(u.astype(dtype).tolist(), space)) == serialize(compiler(u, space))
 
 
 class TestDecompose:
