@@ -295,6 +295,13 @@ MUTANTS = [
         ["tests/test_circuits.py"],
     ),
     (
+        "Beamsplitter keeps the dataclass equality, which compares a pair array's truth value",
+        CIRCUITS,
+        "    conjugate: bool = False\n    __eq__ = _same\n",
+        "    conjugate: bool = False\n",
+        ["tests/test_circuits.py"],
+    ),
+    (
         "_factor casts its matrix with dtype=complex again",
         "src/modemix/decompose.py",
         'u = np.array(_numbers(owner, u, "input", complex))',

@@ -90,6 +90,7 @@ class Beamsplitter:
 
     pair: tuple[int, int]
     conjugate: bool = False
+    __eq__ = _same
 
 
 @dataclass(frozen=True)

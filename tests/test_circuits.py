@@ -524,6 +524,15 @@ class TestEquality:
         assert element != changed and not element == changed
         assert element == copy.deepcopy(element)
 
+    def test_fields_are_compared_as_arrays(self):
+        assert Beamsplitter(np.array([1, 2])) == Beamsplitter((1, 2)) == Beamsplitter([1, 2])
+        assert Beamsplitter((1, 2), conjugate=np.True_) == Beamsplitter((1, 2), conjugate=True)
+        assert PhaseBlock(1, [0, 1]) == PhaseBlock(np.int64(1), np.array([0.0, 1.0]))
+        space = ModeSpace(2, 1)
+        circuit = Circuit(space, [Beamsplitter([1, 2]), PhaseBlock(2, [1])])
+        assert deserialize(serialize(circuit)) == circuit
+        assert len({Beamsplitter((1, 2)), Beamsplitter((1, 2), conjugate=False)}) == 1  # still hashable
+
     @pytest.mark.parametrize(
         "base,args",
         [
