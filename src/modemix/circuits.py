@@ -31,7 +31,6 @@ import heapq
 import operator
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
-from itertools import repeat
 from typing import Union
 
 import numpy as np
@@ -210,16 +209,16 @@ def _phase_blocks(phases: np.ndarray, n_p: int) -> np.ndarray:
 
 
 def _kron_eye(b: np.ndarray, n_p: int) -> np.ndarray:
-    """np.kron(b, np.eye(n_p)) of a 2x2 ``b``, bit for bit, without its dense outer product."""
-    block = np.zeros((2, n_p, 2, n_p), dtype=complex)
+    """np.kron(b[j], np.eye(n_p)) for each 2x2 ``b[j]`` of a stack, bit for bit, without its dense outer product."""
+    block = np.zeros((len(b), 2, n_p, 2, n_p), dtype=complex)
     diagonal = np.arange(n_p)
-    block[:, diagonal, :, diagonal] = b * 1.0  # np.kron multiplies each entry by 1 + 0j
-    return block.reshape(2 * n_p, 2 * n_p)
+    block[:, :, diagonal, :, diagonal] = b * 1.0  # np.kron multiplies each entry by 1 + 0j
+    return block.reshape(len(b), 2 * n_p, 2 * n_p)
 
 
 # Kind codes, by exact type: a subclass may mean something the file format
-# cannot hold. A conjugate beamsplitter is kind 3.
-INTERNAL, PHASE, BEAMSPLITTER, CONJUGATE, CS = range(5)
+# cannot hold.
+INTERNAL, PHASE, BEAMSPLITTER, CS = range(4)
 _KINDS = {InternalOp: INTERNAL, PhaseBlock: PHASE, Beamsplitter: BEAMSPLITTER, CSBlock: CS}
 
 
@@ -229,12 +228,12 @@ def _walk(circuit: Circuit) -> tuple[list, list, list]:
     Checks each element's type, index or pair and value type and shape.
     Returns the circuit's record: for each kind code, the first spatial modes
     of its elements as Python ints and the stack of their values (an empty
-    list for a kind with no values, and for beamsplitters), then every
-    element's kind code in document order.
+    list for a kind with no elements), then every element's kind code in
+    document order. A beamsplitter's value is its conjugate flag.
     """
     space = circuit.space
     n_p = space.n_p
-    modes, values = ([[] for _ in range(5)] for _ in range(2))
+    modes, values = ([[] for _ in range(4)] for _ in range(2))
     sequence = []
     for element in circuit.elements:
         kind = _KINDS.get(type(element))
@@ -248,14 +247,14 @@ def _walk(circuit: Circuit) -> tuple[list, list, list]:
                     raise _block_fault(element, n_p, value.shape)
             else:
                 value = _angles(element, element.phases, "phases", n_p, 1)
-            values[kind].append(value)
         else:
             k = _check_pair(element.pair, space)[0]
             if kind == CS:
-                values[kind].append(_angles(element, element.thetas, "thetas", n_p, 2))
+                value = _angles(element, element.thetas, "thetas", n_p, 2)
             else:
-                kind = BEAMSPLITTER + bool(element.conjugate)
+                value = bool(element.conjugate)
         modes[kind].append(k)
+        values[kind].append(value)
         sequence.append(kind)
     return modes, [np.array(stack) if stack else stack for stack in values], sequence
 
@@ -263,12 +262,11 @@ def _walk(circuit: Circuit) -> tuple[list, list, list]:
 def _elements(record: tuple) -> list:
     """The element objects of a record, in document order; elements on one pair share its tuple."""
     modes, values, sequence = record
-    pairs = {k: (k, k + 1) for kind in (BEAMSPLITTER, CONJUGATE, CS) for k in modes[kind]}
+    pairs = {k: (k, k + 1) for kind in (BEAMSPLITTER, CS) for k in modes[kind]}
     made = (
         map(InternalOp, modes[INTERNAL], values[INTERNAL]),
         map(PhaseBlock, modes[PHASE], values[PHASE]),
-        map(Beamsplitter, map(pairs.get, modes[BEAMSPLITTER])),
-        map(Beamsplitter, map(pairs.get, modes[CONJUGATE]), repeat(True)),
+        map(Beamsplitter, map(pairs.get, modes[BEAMSPLITTER]), map(bool, values[BEAMSPLITTER])),
         map(CSBlock, map(pairs.get, modes[CS]), values[CS]),
     )
     return [next(made[kind]) for kind in sequence]
@@ -295,10 +293,10 @@ def reconstruct(circuit: Circuit) -> np.ndarray:
     Reads the circuit's record (the held one, or ``_walk``'s, which checks
     the elements) and layers its elements in one scan; those of one layer
     act on disjoint rows and commute. Each kind's blocks are built in one
-    call, in (layer, first mode) order; the two beamsplitter blocks,
-    kron(B, 1) and kron(B†, 1), are broadcast, not copied. A group is a run of one kind's
-    elements in one layer on abutting rows, so it is one batched product on
-    one band view. The result is bit for bit that of applying the elements
+    call, in (layer, first mode) order: a beamsplitter's block is kron(B, 1),
+    or kron(B†, 1) when its conjugate flag is set. A group is a run of one
+    kind's elements in one layer on abutting rows, so it is one batched
+    product on one band view. The result is bit for bit that of applying the elements
     one at a time; an empty circuit gives the identity.
     """
     n_p, dim = circuit.space.n_p, circuit.space.dim
@@ -309,8 +307,9 @@ def reconstruct(circuit: Circuit) -> np.ndarray:
     builders = (  # each kind's blocks, given the order of its elements
         lambda order: values[INTERNAL][order],
         lambda order: _phase_blocks(values[PHASE][order], n_p),
-        lambda _: _kron_eye(BEAMSPLITTER_2, n_p),
-        lambda _: _kron_eye(BEAMSPLITTER_2.conj().T, n_p),
+        lambda order: _kron_eye(
+            np.where(values[BEAMSPLITTER][order, None, None], BEAMSPLITTER_2.conj().T, BEAMSPLITTER_2), n_p
+        ),
         lambda order: cs_matrix(values[CS][order], 2 * n_p),
     )
     for kind_modes, kind_layers, build in zip(modes, _layers(modes, sequence), builders):
@@ -323,8 +322,7 @@ def reconstruct(circuit: Circuit) -> np.ndarray:
         width = blocks.shape[-1]  # a group ends at a new layer or at a gap between its bands
         ends = (np.diff(group_layers) != 0) | (np.diff(starts) != width)
         bounds = [0, *(np.flatnonzero(ends) + 1).tolist(), len(order)]
-        runs.append([(group_layers[a], starts[a], b - a, blocks if blocks.ndim == 2 else blocks[a:b])
-                     for a, b in zip(bounds, bounds[1:])])
+        runs.append([(group_layers[a], starts[a], b - a, blocks[a:b]) for a, b in zip(bounds, bounds[1:])])
 
     out = np.eye(dim, dtype=complex)
     for _, first, g, blocks in heapq.merge(*runs, key=operator.itemgetter(0)):

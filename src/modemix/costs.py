@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .circuits import BEAMSPLITTER, CONJUGATE, CS, INTERNAL, PHASE, Circuit, ModeSpace, _record
+from .circuits import BEAMSPLITTER, CS, INTERNAL, PHASE, Circuit, ModeSpace, _record
 
 
 @dataclass(frozen=True)
@@ -79,4 +79,4 @@ def audit_circuit(circuit: Circuit) -> CostReport:
 def _tally(circuit: Circuit) -> tuple[int, int, int, int]:
     """Beamsplitters (plain and conjugate), internal ops, phase blocks and CS blocks in a circuit's record."""
     counts = Counter(_record(circuit)[-1])
-    return counts[BEAMSPLITTER] + counts[CONJUGATE], counts[INTERNAL], counts[PHASE], counts[CS]
+    return counts[BEAMSPLITTER], counts[INTERNAL], counts[PHASE], counts[CS]

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circuits import BEAMSPLITTER, CONJUGATE, CS, INTERNAL, PHASE, Beamsplitter, Circuit, CSBlock, ModeSpace, PhaseBlock
+from .circuits import BEAMSPLITTER, CS, INTERNAL, PHASE, Beamsplitter, Circuit, CSBlock, ModeSpace, PhaseBlock
 from .circuits import _held
 from .csd import csd_stack
 from .errors import DimensionError
@@ -130,14 +130,15 @@ def _circuit(u, space: ModeSpace, expand: bool) -> Circuit:
     beamsplitter. The circuit builds its element objects when they are read.
     """
     firsts, thetas, ops = _factor(u, space, decompose if expand else decompose_stage1)
-    modes, values = [[] for _ in range(5)], [[] for _ in range(5)]
+    modes, values = [[] for _ in range(4)], [[] for _ in range(4)]
     modes[INTERNAL] = [*(k for first in firsts for k in (first + 1, first)), *range(space.n_s, 0, -1)]
     values[INTERNAL] = ops
     if expand:
-        modes[CONJUGATE] = modes[BEAMSPLITTER] = firsts
+        modes[BEAMSPLITTER] = [k for first in firsts for k in (first, first)]
+        values[BEAMSPLITTER] = np.tile([True, False], len(firsts))
         modes[PHASE] = [k for first in firsts for k in (first, first + 1)]
         values[PHASE] = np.stack([thetas, -thetas], axis=1).reshape(-1, space.n_p)
-        mixer = [CONJUGATE, PHASE, PHASE, BEAMSPLITTER]
+        mixer = [BEAMSPLITTER, PHASE, PHASE, BEAMSPLITTER]
     else:
         modes[CS], values[CS], mixer = firsts, thetas, [CS]
     sequence = [INTERNAL, INTERNAL, *mixer] * len(firsts) + [INTERNAL] * space.n_s

@@ -37,7 +37,7 @@ import json
 
 import numpy as np
 
-from .circuits import BEAMSPLITTER, CONJUGATE, CS, INTERNAL, PHASE, Circuit, ModeSpace
+from .circuits import BEAMSPLITTER, CS, INTERNAL, PHASE, Circuit, ModeSpace
 from .circuits import _check_mode, _check_pair, _held, _record
 from .errors import CircuitFormatError, UnsupportedVersionError
 from .linalg import require_unitary
@@ -46,24 +46,21 @@ FORMAT_VERSION = "1"
 
 
 # One row per kind code: its file kind, its index key and its value key.
-# Both beamsplitter codes share a row; the conjugate flag tells them apart.
 _ROWS = {
     INTERNAL: ("internal", "spatial_index", "matrix"),
     PHASE: ("phase_block", "spatial_index", "phases"),
     BEAMSPLITTER: ("beamsplitter", "spatial_pair", "conjugate"),
-    CONJUGATE: ("beamsplitter", "spatial_pair", "conjugate"),
     CS: ("cs_block", "spatial_pair", "thetas"),
 }
-# The kind code of each file kind; the reader adds a beamsplitter's conjugate flag to it.
-_CODES = {_ROWS[code][0]: code for code in (INTERNAL, PHASE, BEAMSPLITTER, CS)}
+_CODES = {kind: code for code, (kind, _, _) in _ROWS.items()}
 
 
 def _template(code: int, n_p: int) -> str:
-    """One kind's line: %d slots for the index or pair, %r slots (``json``'s float text) for floats."""
+    """One kind's line: %d slots for the index or pair, %r slots (``json``'s float text) for floats, %s for a flag."""
     kind, index_key, value_key = _ROWS[code]
     index = "%d" if index_key == "spatial_index" else "[%d, %d]"
     if value_key == "conjugate":
-        value = "true" if code == CONJUGATE else "false"
+        value = "%s"
     elif value_key == "matrix":  # each complex entry as an [re, im] pair
         value = "[%s]" % ", ".join(["[%s]" % ", ".join(["[%r, %r]"] * n_p)] * n_p)
     else:
@@ -75,12 +72,14 @@ def _lines(code: int, modes: list, values: list, n_p: int):
     """The lines of one kind's elements in document order, once their values are checked."""
     kind, index_key, value_key = _ROWS[code]
     heads = ((k,) for k in modes) if index_key == "spatial_index" else ((k, k + 1) for k in modes)
-    stack = np.empty((len(modes), 0)) if value_key == "conjugate" else np.array(values)
+    stack = np.array(values)
     if not np.isfinite(stack).all():
         raise ValueError(f"{kind} values must be finite; NaN and infinity are not JSON compliant")
     if value_key == "matrix":
         require_unitary(stack, "an internal operation")
         stack = stack.view(float).reshape(len(stack), -1)
+    elif value_key == "conjugate":  # each flag as JSON spells it
+        stack = np.where(stack, "true", "false")[:, None]
     # One element's index and floats at a time: no whole kind's list of them is held.
     rows = ((*head, *row.tolist()) for head, row in zip(heads, stack))
     return map(_template(code, n_p).__mod__, rows)
@@ -98,7 +97,7 @@ def serialize(circuit: Circuit) -> str:
     modes, values, sequence = _record(circuit)
     lines = {}
     # Internal ops last, so that every kind is checked finite before any op for unitarity.
-    for code in (CS, CONJUGATE, BEAMSPLITTER, PHASE, INTERNAL):
+    for code in (CS, BEAMSPLITTER, PHASE, INTERNAL):
         if modes[code]:
             lines[code] = _lines(code, modes[code], values[code], space.n_p)
     elements = [next(lines[code]) for code in sequence]
@@ -139,9 +138,8 @@ def _numbers(values: list, shape: tuple[int, ...], what: str) -> np.ndarray:
     return out
 
 
-def _columns(kind: str, objs: list, space: ModeSpace) -> tuple:
-    """One kind's elements as record columns: each one's kind code, each one's first mode, their value stack."""
-    code = _CODES[kind]
+def _columns(code: int, objs: list, space: ModeSpace) -> tuple:
+    """One kind's elements as record columns: each one's first mode and their value stack."""
     _, index_key, value_key = _ROWS[code]
     indices = [obj.get(index_key) for obj in objs]
     # A missing conjugate reads as false; a missing array fails its shape test.
@@ -160,13 +158,13 @@ def _columns(kind: str, objs: list, space: ModeSpace) -> tuple:
     firsts = indices if index_key == "spatial_index" else [pair[0] for pair in indices]
     if value_key == "conjugate":
         _require(set(map(type, values)) <= {bool}, "conjugate must be a boolean")
-        return [BEAMSPLITTER + flag for flag in values], firsts, []
-    if value_key == "matrix":
+        values = np.array(values)
+    elif value_key == "matrix":
         # The view keeps every bit of each [re, im] pair, the sign of a zero included.
         values = _numbers(values, (space.n_p, space.n_p, 2), "matrix").view(complex)[..., 0]
     else:
         values = _numbers(values, (space.n_p,), value_key)
-    return [code] * len(objs), firsts, values
+    return firsts, values
 
 
 def deserialize(text: str) -> Circuit:
@@ -195,19 +193,16 @@ def deserialize(text: str) -> Circuit:
     objs = doc.get("elements")
     _require(isinstance(objs, list), "elements must be an array")
     _require(set(map(type, objs)) <= {dict}, "elements must be objects")
-    kinds = [obj.get("kind") for obj in objs]
-    groups = {}
-    for kind, obj in zip(kinds, objs):
+    sequence, groups = [], {}
+    for obj in objs:
+        kind = obj.get("kind")
         if type(kind) is not str or kind not in _CODES:  # an unhashable kind is refused too
             raise CircuitFormatError(f"unknown element kind {kind!r}")
-        groups.setdefault(kind, []).append(obj)
-    columns = {kind: _columns(kind, group, space) for kind, group in groups.items()}
-    if "internal" in columns:
-        require_unitary(columns["internal"][2], "an internal operation")
-    modes, values = [[] for _ in range(5)], [[] for _ in range(5)]
-    for codes, firsts, stack in columns.values():
-        for code, k in zip(codes, firsts):
-            modes[code].append(k)
-        values[codes[0]] = stack  # empty for beamsplitters
-    codes = {kind: iter(columns[kind][0]) for kind in columns}
-    return _held(space, (modes, values, [next(codes[kind]) for kind in kinds]))
+        sequence.append(_CODES[kind])
+        groups.setdefault(sequence[-1], []).append(obj)
+    modes, values = [[] for _ in range(4)], [[] for _ in range(4)]
+    for code, group in groups.items():
+        modes[code], values[code] = _columns(code, group, space)
+    if INTERNAL in groups:
+        require_unitary(values[INTERNAL], "an internal operation")
+    return _held(space, (modes, values, sequence))

@@ -252,7 +252,7 @@ def kron_oracle(circuit):
 
 def assert_same_bits(a, b):
     assert a.dtype == b.dtype and a.shape == b.shape
-    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    assert a.tobytes() == b.tobytes()
 
 
 class TestReconstructBits:
