@@ -43,15 +43,15 @@ MUTANTS = [
     (
         "the reader records its kind codes grouped by kind",
         SERIALIZATION,
-        "[next(codes[kind]) for kind in kinds]",
-        "[code for column in codes.values() for code in column]",
+        "return _held(space, (modes, values, sequence))",
+        "return _held(space, (modes, values, sorted(sequence, key=list(groups).index)))",
         ["tests/test_serialization.py"],
     ),
     (
-        "the reader records every beamsplitter as plain",
+        "the reader reads every conjugate flag as false",
         SERIALIZATION,
-        "[BEAMSPLITTER + flag for flag in values]",
-        "[BEAMSPLITTER for flag in values]",
+        "values = np.array(values)",
+        "values = np.zeros(len(values), dtype=bool)",
         ["tests/test_serialization.py"],
     ),
     (
@@ -64,8 +64,8 @@ MUTANTS = [
     (
         "the walker reads conjugate with `is True`",
         CIRCUITS,
-        "BEAMSPLITTER + bool(element.conjugate)",
-        "BEAMSPLITTER + (element.conjugate is True)",
+        "value = bool(element.conjugate)",
+        "value = element.conjugate is True",
         ["tests/test_circuits.py"],
     ),
     (
@@ -92,10 +92,21 @@ MUTANTS = [
         ["tests/test_circuits.py"],
     ),
     (
-        "one module-level beamsplitter block serves every n_p",
+        "one module-level stack of beamsplitter blocks serves every circuit",
         CIRCUITS,
-        "lambda _: _kron_eye(BEAMSPLITTER_2, n_p),",
-        'lambda _: globals().setdefault("_PLAIN", _kron_eye(BEAMSPLITTER_2, n_p)),',
+        "        lambda order: _kron_eye(\n"
+        "            np.where(values[BEAMSPLITTER][order, None, None], BEAMSPLITTER_2.conj().T, BEAMSPLITTER_2), n_p\n"
+        "        ),\n",
+        '        lambda order: globals().setdefault("_BLOCKS", _kron_eye(\n'
+        "            np.where(values[BEAMSPLITTER][order, None, None], BEAMSPLITTER_2.conj().T, BEAMSPLITTER_2), n_p\n"
+        "        )),\n",
+        ["tests/test_circuits.py"],
+    ),
+    (
+        "reconstruct builds B, not B†, for a beamsplitter whose conjugate flag is set",
+        CIRCUITS,
+        "BEAMSPLITTER_2.conj().T, BEAMSPLITTER_2), n_p",
+        "BEAMSPLITTER_2, BEAMSPLITTER_2.conj().T), n_p",
         ["tests/test_circuits.py"],
     ),
     (
@@ -171,8 +182,15 @@ MUTANTS = [
     (
         "the writer checks internal ops for unitarity before other kinds for finiteness",
         SERIALIZATION,
-        "for code in (CS, CONJUGATE, BEAMSPLITTER, PHASE, INTERNAL):",
-        "for code in (INTERNAL, CS, CONJUGATE, BEAMSPLITTER, PHASE):",
+        "for code in (CS, BEAMSPLITTER, PHASE, INTERNAL):",
+        "for code in (INTERNAL, CS, BEAMSPLITTER, PHASE):",
+        ["tests/test_serialization.py"],
+    ),
+    (
+        "the writer swaps true and false in the conjugate slot",
+        SERIALIZATION,
+        'np.where(stack, "true", "false")',
+        'np.where(stack, "false", "true")',
         ["tests/test_serialization.py"],
     ),
     (
@@ -204,10 +222,10 @@ MUTANTS = [
         ["tests/test_circuits.py"],
     ),
     (
-        "the beamsplitter tally of audit_circuit and the CLI drops conjugate beamsplitters",
+        "the beamsplitter tally of audit_circuit and the CLI counts only conjugate beamsplitters",
         "src/modemix/costs.py",
-        "counts[BEAMSPLITTER] + counts[CONJUGATE]",
-        "counts[BEAMSPLITTER]",
+        "return counts[BEAMSPLITTER],",
+        "return int(sum(_record(circuit)[1][BEAMSPLITTER])),",
         ["tests/test_costs.py", "tests/test_cli.py"],
     ),
     (
@@ -260,17 +278,24 @@ MUTANTS = [
         ["tests/test_decompose.py"],
     ),
     (
-        "the record builder's mixers start with a plain beamsplitter",
+        "the record builder's mixers put the second beamsplitter before the -θ phase block",
         "src/modemix/decompose.py",
-        "mixer = [CONJUGATE, PHASE, PHASE, BEAMSPLITTER]",
-        "mixer = [BEAMSPLITTER, PHASE, PHASE, CONJUGATE]",
+        "mixer = [BEAMSPLITTER, PHASE, PHASE, BEAMSPLITTER]",
+        "mixer = [BEAMSPLITTER, PHASE, BEAMSPLITTER, PHASE]",
+        ["tests/test_decompose.py"],
+    ),
+    (
+        "the record builder's mixers start with a plain beamsplitter and end with a conjugate one",
+        "src/modemix/decompose.py",
+        "np.tile([True, False]",
+        "np.tile([False, True]",
         ["tests/test_decompose.py"],
     ),
     (
         "_elements drops the conjugate flag",
         CIRCUITS,
-        "map(pairs.get, modes[CONJUGATE]), repeat(True))",
-        "map(pairs.get, modes[CONJUGATE]))",
+        "map(pairs.get, modes[BEAMSPLITTER]), map(bool, values[BEAMSPLITTER]))",
+        "map(pairs.get, modes[BEAMSPLITTER]))",
         ["tests/test_circuits.py"],
     ),
     (
@@ -312,6 +337,20 @@ MUTANTS = [
         "csd casts its matrix with dtype=complex again",
         "src/modemix/csd.py",
         'u = _numbers(csd, u, "input", complex)',
+        "u = np.asarray(u, dtype=complex)",
+        ["tests/test_csd.py"],
+    ),
+    (
+        "_as_stack casts with dtype=complex again",
+        "src/modemix/linalg.py",
+        'm = _numbers(owner, a, "input", complex)',
+        "m = np.asarray(a, dtype=complex)",
+        ["tests/test_linalg.py"],
+    ),
+    (
+        "block_partition casts with dtype=complex again",
+        "src/modemix/csd.py",
+        'u = _numbers(block_partition, u, "input", complex)',
         "u = np.asarray(u, dtype=complex)",
         ["tests/test_csd.py"],
     ),

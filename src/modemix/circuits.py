@@ -11,7 +11,8 @@ first, so in the matrix product ``elements[-1]`` is the leftmost factor.
 Every reader of a circuit (``reconstruct``, ``serialize``, ``audit_circuit``
 and the CLI counts) reads one record of it: per kind code, the elements'
 first spatial modes and a stack of their values, plus the kind code of
-every element in document order. ``_walk`` checks a circuit's elements and
+every element in document order. Each element class has one kind code,
+and a beamsplitter's value is its conjugate flag. ``_walk`` checks a circuit's elements and
 gives its record. A circuit that ``decompose``, ``decompose_stage1`` or
 ``deserialize`` returns holds the record it was built from instead, and
 builds its element objects only when ``elements`` is first read, which drops

@@ -77,6 +77,6 @@ def audit_circuit(circuit: Circuit) -> CostReport:
 
 
 def _tally(circuit: Circuit) -> tuple[int, int, int, int]:
-    """Beamsplitters (plain and conjugate), internal ops, phase blocks and CS blocks in a circuit's record."""
+    """Beamsplitters of either flag, internal ops, phase blocks and CS blocks in a circuit's record."""
     counts = Counter(_record(circuit)[-1])
     return counts[BEAMSPLITTER], counts[INTERNAL], counts[PHASE], counts[CS]

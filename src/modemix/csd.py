@@ -92,9 +92,11 @@ def block_partition(u, m: int):
     """Split a square matrix into blocks A (m x m), B, C and D.
 
     A is the top-left m x m block, B the m x n top-right, C the n x m
-    bottom-left and D the n x n bottom-right, with n = dim - m.
+    bottom-left and D the n x n bottom-right, with n = dim - m. Raises
+    ``TypeError`` for a matrix that does not hold integers, floats or
+    complex numbers.
     """
-    u = np.asarray(u, dtype=complex)
+    u = _numbers(block_partition, u, "input", complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {u.shape}")
     dim = u.shape[0]

@@ -2,6 +2,8 @@
 
 Matrices are plain 2-D ``numpy.ndarray`` objects with dtype complex128,
 row-major; ``svd`` and ``unitarity_defect`` also take a stack of them.
+They take a matrix of integers, floats or complex numbers, and refuse
+booleans, text and objects with a ``TypeError``, as the compilers do.
 All operations are pure functions; nothing here mutates its arguments.
 """
 
@@ -20,9 +22,9 @@ from .errors import DimensionError, MatrixFormatError, UnitarityError
 UNITARY_TOL = 1e-10
 
 
-def _as_stack(a) -> np.ndarray:
-    """Coerce ``a`` to a finite complex128 matrix or stack of matrices."""
-    m = np.asarray(a, dtype=complex)
+def _as_stack(a, owner) -> np.ndarray:
+    """``a`` as a finite complex128 matrix or stack of matrices, under ``_numbers``'s rule for ``owner``."""
+    m = _numbers(owner, a, "input", complex)
     if m.ndim < 2:
         raise DimensionError(f"expected a matrix or a stack of matrices, got {m.ndim} dimensions")
     if m.size and not np.all(np.isfinite(m)):
@@ -52,7 +54,7 @@ def _numbers(owner, values, name: str, dtype: type) -> np.ndarray:
 
 def unitarity_defect(m) -> float:
     """Largest absolute entry of M†M - 1 for a square matrix M, or over a stack of them."""
-    m = _as_stack(m)
+    m = _as_stack(m, unitarity_defect)
     if m.shape[-1] != m.shape[-2]:
         raise DimensionError(f"unitarity is defined for square matrices, got shape {m.shape}")
     eye = np.eye(m.shape[-1])
@@ -78,7 +80,7 @@ def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     order. A stack of matrices gives a stack of each factor. Delegates to
     LAPACK through numpy.
     """
-    m = _as_stack(m)
+    m = _as_stack(m, svd)
     left, singulars, vh = np.linalg.svd(m, full_matrices=True)
     return left, singulars, vh.conj().swapaxes(-1, -2)
 
@@ -114,7 +116,7 @@ def format_matrix(m) -> str:
     Each row goes through one format string over its float view, so no
     Python float list of the whole matrix is held.
     """
-    m = _as_stack(m)
+    m = _as_stack(m, format_matrix)
     if m.ndim != 2:
         raise DimensionError(f"expected a 2-D matrix, got {m.ndim} dimensions")
     if not m.size:  # the text format has no empty matrix

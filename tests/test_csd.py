@@ -99,6 +99,21 @@ class TestBlockPartition:
         with pytest.raises(DimensionError):
             block_partition(np.eye(4), m)
 
+    @pytest.mark.parametrize(
+        "u,dtype",
+        [([["1", "0"], ["0", "1"]], "<U1"), (np.eye(2, dtype=bool), "bool"), (np.eye(4).astype(object), "object")],
+    )
+    def test_refuses_what_a_circuit_refuses(self, u, dtype):
+        message = f"block_partition input must be numbers, got dtype {dtype}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            block_partition(u, 1)
+
+    @pytest.mark.parametrize("dtype", [np.int8, int, np.float32, float, np.complex64])
+    def test_takes_integers_floats_and_complex(self, dtype):
+        p = np.eye(5, dtype=int)[[2, 0, 4, 1, 3]] * [1, -2, 3, -4, 5]
+        for got, expected in zip(block_partition(p.astype(dtype), 2), block_partition(p.astype(complex), 2)):
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
 
 def all_block_relations_hold(u, m, tol=1e-12):
     n = u.shape[0] - m

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,35 @@ class TestSvd:
     def test_rejects_vector(self):
         with pytest.raises(DimensionError):
             svd(np.ones(3))
+
+
+class TestValueRule:
+    """The matrix functions hold their input to the value rule of the compilers and the circuit walk."""
+
+    REFUSED = [([["1", "0"], ["0", "1"]], "<U1"), (np.eye(2, dtype=bool), "bool"), (np.eye(2).astype(object), "object")]
+
+    @pytest.mark.parametrize("m,dtype", REFUSED)
+    @pytest.mark.parametrize("function", [unitarity_defect, svd, format_matrix])
+    def test_refuses_what_a_circuit_refuses(self, function, m, dtype):
+        message = f"{function.__name__} input must be numbers, got dtype {dtype}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            function(m)
+
+    @pytest.mark.parametrize("m,dtype", REFUSED)
+    def test_save_matrix_refuses_and_writes_nothing(self, tmp_path, m, dtype):
+        path = tmp_path / "m.mat"
+        with pytest.raises(TypeError, match=f"got dtype {re.escape(dtype)}$"):
+            save_matrix(path, m)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("dtype", [np.int8, int, np.float32, float, np.complex64])
+    def test_takes_integers_floats_and_complex(self, dtype):
+        m = np.array([[1, -2, 0], [3, 0, 5], [0, 7, -1]])
+        got, expected = m.astype(dtype), m.astype(complex)
+        assert unitarity_defect(got) == unitarity_defect(expected)
+        assert format_matrix(got) == format_matrix(expected)
+        for a, b in zip(svd(got), svd(expected)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestHaarRandomUnitary:
