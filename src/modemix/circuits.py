@@ -12,13 +12,14 @@ Every reader of a circuit (``reconstruct``, ``serialize``, ``audit_circuit``
 and the CLI counts) reads one record of it: per kind code, the elements'
 first spatial modes and a stack of their values, plus the kind code of
 every element in document order. Each element class has one kind code,
-and a beamsplitter's value is its conjugate flag. ``_walk`` checks a circuit's elements and
-gives its record. A circuit that ``decompose``, ``decompose_stage1`` or
-``deserialize`` returns holds the record it was built from instead, and
-builds its element objects only when ``elements`` is first read, which drops
-the record; the readers take a held record only while no element list has
-been read or assigned and ``space`` is the space it was built for. Only
-``reconstruct`` needs layers, and it scans the record for them itself.
+and a beamsplitter's value is its conjugate flag. ``_walk`` checks a
+circuit's elements and gives its record. A circuit that ``decompose``,
+``decompose_stage1`` or ``deserialize`` returns holds the record it was
+built from instead, and builds its element objects only when ``elements``
+is first read, which drops the record; the readers take a held record only
+while no element list has been read or assigned and ``space`` is the space
+it was built for. Only ``reconstruct`` needs layers, and it scans the
+record for them itself.
 
 Two circuits are equal (``==``) when their spaces are equal and their
 elements are equal pair by pair, which builds the elements of both. Two
@@ -297,8 +298,8 @@ def reconstruct(circuit: Circuit) -> np.ndarray:
     call, in (layer, first mode) order: a beamsplitter's block is kron(B, 1),
     or kron(B†, 1) when its conjugate flag is set. A group is a run of one
     kind's elements in one layer on abutting rows, so it is one batched
-    product on one band view. The result is bit for bit that of applying the elements
-    one at a time; an empty circuit gives the identity.
+    product on one band view. The result is bit for bit that of applying the
+    elements one at a time; an empty circuit gives the identity.
     """
     n_p, dim = circuit.space.n_p, circuit.space.dim
     modes, values, sequence = _record(circuit)

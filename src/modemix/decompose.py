@@ -127,8 +127,7 @@ def _circuit(u, space: ModeSpace, expand: bool) -> Circuit:
     last mixer come the n_s closing ops. A mixer is one CS block or, with
     ``expand``, ``expand_cs_block``'s four elements: conjugated beamsplitter,
     +θ phase block on its first mode, -θ phase block on its second, plain
-    beamsplitter, so the beamsplitters' flags alternate True, False. The
-    circuit builds its element objects when they are read.
+    beamsplitter. The circuit builds its element objects when they are read.
     """
     firsts, thetas, ops = _factor(u, space, decompose if expand else decompose_stage1)
     modes, values = [[] for _ in range(4)], [[] for _ in range(4)]
