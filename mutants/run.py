@@ -64,8 +64,15 @@ MUTANTS = [
     (
         "the walker reads conjugate with `is True`",
         CIRCUITS,
-        "value = bool(element.conjugate)",
-        "value = element.conjugate is True",
+        "return bool(flag if isinstance(flag, np.bool_) else operator.index(flag))",
+        "return flag is True",
+        ["tests/test_circuits.py"],
+    ),
+    (
+        "the walker reads a text conjugate flag by its truth again",
+        CIRCUITS,
+        "isinstance(flag, np.bool_)",
+        "isinstance(flag, (np.bool_, str))",
         ["tests/test_circuits.py"],
     ),
     (
@@ -373,6 +380,20 @@ MUTANTS = [
         "src/modemix/csd.py",
         "group = np.flatnonzero(ks == k)",
         "group = np.flatnonzero(ks > 0)",
+        ["tests/test_csd.py"],
+    ),
+    (
+        "csd_stack straightens each group by k - 1: k = 0 included, the largest k skipped",
+        "src/modemix/csd.py",
+        "np.flatnonzero(np.bincount(ks)[1:]) + 1:",
+        "np.flatnonzero(np.bincount(ks)[1:]):",
+        ["tests/test_csd.py"],
+    ),
+    (
+        "csd_stack skips the group of the largest k",
+        "src/modemix/csd.py",
+        "np.flatnonzero(np.bincount(ks)[1:]) + 1:",
+        "np.flatnonzero(np.bincount(ks)[1:-1]) + 1:",
         ["tests/test_csd.py"],
     ),
 ]

@@ -186,6 +186,14 @@ def _check_pair(pair, space: ModeSpace) -> tuple[int, int]:
     return k, l
 
 
+def _flag(flag) -> bool:
+    """A beamsplitter's conjugate flag, read by truth only from a bool, a numpy bool or an integer."""
+    try:  # operator.index takes bools and integers; it refuses numpy bools, text, floats and arrays
+        return bool(flag if isinstance(flag, np.bool_) else operator.index(flag))
+    except TypeError:
+        raise TypeError(f"Beamsplitter conjugate must be a bool or an integer, got {type(flag).__name__}") from None
+
+
 def _block_fault(element, width: int, shape: tuple) -> DimensionError:
     return DimensionError(f"{type(element).__name__} needs a {width}x{width} block, got shape {shape}")
 
@@ -254,7 +262,7 @@ def _walk(circuit: Circuit) -> tuple[list, list, list]:
             if kind == CS:
                 value = _angles(element, element.thetas, "thetas", n_p, 2)
             else:
-                value = bool(element.conjugate)
+                value = _flag(element.conjugate)
         modes[kind].append(k)
         values[kind].append(value)
         sequence.append(kind)

@@ -138,7 +138,8 @@ def csd_stack(u: np.ndarray, m: int) -> tuple:
     lt, rt = lt[..., ::-1], rt[..., ::-1]
     lb, tri = np.linalg.qr(c @ rt, mode="complete")
     ks = np.count_nonzero(cosines > np.sqrt(0.5), axis=-1)
-    for k in np.unique(ks[ks > 0]):
+    # The distinct k > 0 in ascending order; np.unique would import numpy.ma.
+    for k in np.flatnonzero(np.bincount(ks)[1:]) + 1:
         group = np.flatnonzero(ks == k)
         x, _, y = svd(tri[group, m - k : m, m - k :])
         lt[group, :, m - k :] = lt[group, :, m - k :] @ y

@@ -279,6 +279,8 @@ class TestReconstructBits:
         for flag in flags:
             element = Beamsplitter((2, 3), conjugate=flag)
             assert_same_bits(embed(element, space), kron_oracle(Circuit(space, [element])))
+            written = serialize(Circuit(space, [Beamsplitter((2, 3), conjugate=bool(flag))]))
+            assert serialize(Circuit(space, [element])) == written
 
 
 class TestLayeredWalker:
@@ -456,6 +458,23 @@ class TestValueTypes:
         floats = [InternalOp(1, [[0.0, 1.0], [1.0, 0.0]]), PhaseBlock(2, [1.0, -2.0]), CSBlock((1, 2), [0.0, 1.0])]
         assert_same_bits(reconstruct(Circuit(space, ints)), reconstruct(Circuit(space, floats)))
         assert serialize(Circuit(space, ints)) == serialize(Circuit(space, floats))
+
+    @pytest.mark.parametrize(
+        "flag,name",
+        [
+            ("false", "str"),
+            (0.5, "float"),
+            (None, "NoneType"),
+            (np.float64(1.0), "float64"),
+            (np.array([True, False]), "ndarray"),
+        ],
+    )
+    def test_conjugate_flag_is_a_bool_or_an_integer(self, flag, name):
+        space = ModeSpace(2, 1)
+        message = f"Beamsplitter conjugate must be a bool or an integer, got {name}"
+        for walk in (reconstruct, lambda c: embed(c.elements[0], space), serialize, audit_circuit):
+            with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+                walk(Circuit(space, [Beamsplitter((1, 2), conjugate=flag)]))
 
 
 class TestExactKinds:

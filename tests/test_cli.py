@@ -14,6 +14,7 @@ from modemix import (
     load_matrix,
     parse_matrix,
     save_matrix,
+    serialize,
     unitarity_defect,
 )
 from modemix.cli import main
@@ -24,6 +25,14 @@ from test_serialization import assert_bit_identical
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def src_env() -> dict:
+    """This environment with the checkout's ``src`` first on ``PYTHONPATH``, for a fresh interpreter."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
 
 
 def count_walks(monkeypatch) -> list:
@@ -371,9 +380,7 @@ class TestCsdCommand:
 
 class TestSubprocessEntry:
     def test_module_invocation(self, tmp_path):
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        env = src_env()
         out = tmp_path / "u.mat"
         result = subprocess.run(
             [sys.executable, "-m", "modemix", "random", str(out), "--dim", "3", "--seed", "1"],
@@ -388,9 +395,7 @@ class TestSubprocessEntry:
     def test_closed_stdout_exits_141_silently(self, unbuffered):
         # The read end is closed before the child starts, so its first write
         # to stdout meets a broken pipe, buffered (at the final flush) or not.
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        env = src_env()
         env.pop("PYTHONUNBUFFERED", None)
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
@@ -408,3 +413,45 @@ class TestSubprocessEntry:
             os.close(write_end)
         assert result.returncode == 141
         assert result.stderr == ""
+
+
+# Runs ``main`` on its arguments in a fresh interpreter, then prints, as its
+# last line, the numpy modules that the command loaded beyond what
+# ``import numpy, modemix.cli`` had loaded.
+LOADED_BY_COMMAND = """
+import json, sys
+import numpy, modemix.cli
+before = set(sys.modules)
+code = modemix.cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in set(sys.modules) - before if m.split(".")[0] == "numpy")]))
+"""
+
+
+class TestStartUp:
+    """A command loads no numpy module beyond those its imports load.
+
+    Compared against that baseline, not against a list of names: numpy 1.x
+    imports numpy.ma with numpy itself, numpy 2.x only when it is first used.
+    """
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["decompose", "{u}", "{dir}/out.json", "--ns", "3", "--np", "2"],
+            ["decompose", "{u}", "{dir}/out.json", "--ns", "3", "--np", "2", "--stage1-only"],
+            ["verify", "{dir}/c.json", "{u}"],
+            ["csd", "{u}", "{dir}/factors", "--m", "2"],
+        ],
+        ids=["decompose", "stage1-only", "verify", "csd"],
+    )
+    def test_command_loads_no_further_numpy_module(self, tmp_path, command):
+        space = ModeSpace(3, 2)
+        u = haar_random_unitary(space.dim, 7)
+        save_matrix(tmp_path / "u.mat", u)
+        (tmp_path / "c.json").write_text(serialize(decompose(u, space)))
+        argv = [arg.format(u=tmp_path / "u.mat", dir=tmp_path) for arg in command]
+        result = subprocess.run(
+            [sys.executable, "-c", LOADED_BY_COMMAND, *argv], env=src_env(), capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout.splitlines()[-1]) == [0, []]
