@@ -579,6 +579,22 @@ class TestByteOracle:
         )
         assert serialize(circuit) == oracle_serialize(circuit)
 
+    def test_indices_past_float_precision(self):
+        # 2**60 + 1 has no float64 of its own: an index written through a float reads as 2**60.
+        top = 2**60 + 1
+        circuit = Circuit(
+            ModeSpace(top, 1),
+            [
+                PhaseBlock(top, [0.5]),
+                InternalOp(top, np.array([[1j]])),
+                Beamsplitter((top - 1, top), True),
+                CSBlock((top - 1, top), [-0.25]),
+            ],
+        )
+        text = serialize(circuit)
+        assert text == oracle_serialize(circuit)
+        assert deserialize(text) == circuit
+
 
 class TestWriterFaultOrder:
     """The writer reports an index before a value, as the reader does."""
