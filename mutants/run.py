@@ -203,8 +203,29 @@ MUTANTS = [
     (
         "the writer writes a pair as [k, k]",
         SERIALIZATION,
-        "((k, k + 1) for k in modes)",
-        "((k, k) for k in modes)",
+        "table[:, 1] = table[:, 0] + 1",
+        "table[:, 1] = table[:, 0]",
+        ["tests/test_serialization.py"],
+    ),
+    (
+        "the writer casts its indices through float64",
+        SERIALIZATION,
+        "table[:, 0] = modes",
+        "table[:, 0] = np.array(modes, dtype=float)",
+        ["tests/test_serialization.py"],
+    ),
+    (
+        "the writer repeats a kind's line template count - 1 times",
+        SERIALIZATION,
+        "[_template(code, n_p)] * len(modes)",
+        "[_template(code, n_p)] * (len(modes) - 1)",
+        ["tests/test_serialization.py"],
+    ),
+    (
+        "the writer puts each kind's lines back in reverse document order",
+        SERIALIZATION,
+        'iter(text.split("\\n"))',
+        'iter(text.split("\\n")[::-1])',
         ["tests/test_serialization.py"],
     ),
     (
