@@ -14,7 +14,8 @@ of its own. It reads the circuit's record, as ``reconstruct`` and the
 counts do (the record the circuit holds, or a checking walk of its
 elements), and writes it by kind: one line
 template per kind with ``%r`` float slots, the text ``json`` writes,
-filled from one element's floats at a time, and one finiteness check per
+repeated once per element and filled in one ``%`` call from the kind's
+indices as Python ints and its floats, and one finiteness check per
 kind. Floats are written with ``repr`` precision, so a round trip is
 bit-exact. Complex matrix entries are [re, im] pairs, as complex128 holds them.
 
