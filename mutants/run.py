@@ -253,7 +253,7 @@ MUTANTS = [
         "the beamsplitter tally of audit_circuit and the CLI counts only conjugate beamsplitters",
         "src/modemix/costs.py",
         "return counts[BEAMSPLITTER],",
-        "return int(sum(_record(circuit)[1][BEAMSPLITTER])),",
+        "return int(sum(circuit._record[1][BEAMSPLITTER])),",
         ["tests/test_costs.py", "tests/test_cli.py"],
     ),
     (
@@ -327,17 +327,31 @@ MUTANTS = [
         ["tests/test_circuits.py"],
     ),
     (
-        "the held record survives an elements assignment",
+        "circuit equality skips the value stacks",
         CIRCUITS,
-        'and "elements" not in state and',
-        "and",
+        "np.array_equal(a, b) for firsts",
+        "True for firsts",
         ["tests/test_circuits.py"],
     ),
     (
-        "the held record is read after the space is reassigned",
+        "circuit equality skips the kind sequence",
         CIRCUITS,
-        "and held[0] == circuit.space:",
-        ":",
+        "(self.space, sequence, modes) == (other.space, theirs[2], theirs[0])",
+        "(self.space, modes) == (other.space, theirs[0])",
+        ["tests/test_circuits.py"],
+    ),
+    (
+        "a circuit keeps its elements as a list",
+        CIRCUITS,
+        'object.__setattr__(self, "elements", tuple(self.elements))',
+        'object.__setattr__(self, "elements", list(self.elements))',
+        ["tests/test_circuits.py"],
+    ),
+    (
+        "a circuit is left hashable",
+        CIRCUITS,
+        "@dataclass(frozen=True, eq=False)",
+        "@dataclass(frozen=True)",
         ["tests/test_circuits.py"],
     ),
     (

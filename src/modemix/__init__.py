@@ -11,7 +11,6 @@ circuit reproduces the input matrix to numerical precision.
 from .circuits import (
     Beamsplitter,
     Circuit,
-    CircuitElement,
     CSBlock,
     InternalOp,
     ModeSpace,
@@ -45,7 +44,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Beamsplitter",
     "Circuit",
-    "CircuitElement",
     "CircuitFormatError",
     "CostReport",
     "CSBlock",

@@ -9,22 +9,22 @@ Elements are stored in application order: ``elements[0]`` hits the light
 first, so in the matrix product ``elements[-1]`` is the leftmost factor.
 
 Every reader of a circuit (``reconstruct``, ``serialize``, ``audit_circuit``
-and the CLI counts) reads one record of it: per kind code, the elements'
-first spatial modes and a stack of their values, plus the kind code of
-every element in document order. Each element class has one kind code,
-and a beamsplitter's value is its conjugate flag. ``_walk`` checks a
-circuit's elements and gives its record. A circuit that ``decompose``,
-``decompose_stage1`` or ``deserialize`` returns holds the record it was
-built from instead, and builds its element objects only when ``elements``
-is first read, which drops the record; the readers take a held record only
-while no element list has been read or assigned and ``space`` is the space
-it was built for. Only ``reconstruct`` needs layers, and it scans the
-record for them itself.
+and the CLI counts) reads its record: per kind code, the elements' first
+spatial modes and a stack of their values, plus the kind code of every
+element in document order. Each element class has one kind code, and a
+beamsplitter's value is its conjugate flag. A circuit is fixed when it is
+built and gets its record then: ``Circuit(space, elements)`` checks its
+elements with ``_walk``, which gives the record, so a bad element is refused
+there; ``decompose``, ``decompose_stage1`` and ``deserialize`` hand over the
+record they built, and such a circuit builds its element objects when
+``elements`` is first read. Only ``reconstruct`` needs layers, and it scans
+the record for them itself.
 
-Two circuits are equal (``==``) when their spaces are equal and their
-elements are equal pair by pair, which builds the elements of both. Two
-elements are equal when they have the same exact type and every field is
-equal under ``np.array_equal``; an element that holds an array has no hash.
+Two circuits are equal (``==``) when their spaces, kind sequences and first
+modes are equal and their value stacks are equal under ``np.array_equal``,
+which builds no element. Two elements are equal when they have the same
+exact type and every field is equal under ``np.array_equal``. An element
+that holds an array has no hash, and no circuit has one.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import heapq
 import operator
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
-from typing import Union
 
 import numpy as np
 
@@ -112,30 +111,38 @@ class CSBlock:
     __eq__ = _same
 
 
-CircuitElement = Union[InternalOp, Beamsplitter, PhaseBlock, CSBlock]
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)  # eq=True would hash a circuit of hashable elements
 class Circuit:
-    """Ordered element sequence over a mode space, in application order.
+    """Ordered element sequence over a mode space, in application order, fixed when built.
 
-    A circuit built by ``_held`` keeps the record it was made from and no
-    element list. The first read of ``elements`` builds the list from the
-    record and drops the record. Until then the readers take the record in
-    place of a walk, unless a list has been assigned or ``space`` is no
-    longer the space it was built for.
+    ``elements`` may be any iterable; it is kept as a tuple and checked, and
+    its record kept, when the circuit is built. A circuit built by ``_held``
+    keeps the record it was made from and builds the tuple when ``elements``
+    is first read.
     """
 
     space: ModeSpace
-    elements: list = field(default_factory=list)
+    elements: tuple = field(default_factory=tuple)  # no class attribute, which would hide __getattr__
+
+    def __post_init__(self):
+        object.__setattr__(self, "elements", tuple(self.elements))
+        object.__setattr__(self, "_record", _walk(self))
 
     def __getattr__(self, name):
         # Called only for a name the instance lacks: a held circuit's elements.
-        held = self.__dict__.pop("_held", None) if name == "elements" else None
-        if held is None:
+        if name != "elements" or "_record" not in vars(self):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self.elements = _elements(held[1])
+        object.__setattr__(self, "elements", _elements(self._record))
         return self.elements
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        (modes, values, sequence), theirs = self._record, other._record
+        # The elements' equality pair by pair; a kind with no elements may hold [] or an empty array.
+        return (self.space, sequence, modes) == (other.space, theirs[2], theirs[0]) and all(
+            np.array_equal(a, b) for firsts, a, b in zip(modes, values, theirs[1]) if firsts
+        )
 
 
 def _held(space: ModeSpace, record: tuple) -> Circuit:
@@ -145,17 +152,8 @@ def _held(space: ModeSpace, record: tuple) -> Circuit:
     ``decompose``, ``decompose_stage1`` and ``deserialize``.
     """
     circuit = Circuit.__new__(Circuit)
-    circuit.__dict__.update(space=space, _held=(space, record))
+    circuit.__dict__.update(space=space, _record=record)
     return circuit
-
-
-def _record(circuit: Circuit) -> tuple:
-    """The record that ``reconstruct``, ``serialize`` and the counts read: the held one, or ``_walk``'s."""
-    state = vars(circuit)
-    held = state.get("_held")
-    if held is not None and "elements" not in state and held[0] == circuit.space:
-        return held[1]
-    return _walk(circuit)
 
 
 def _check_mode(k, space: ModeSpace) -> int:
@@ -269,7 +267,7 @@ def _walk(circuit: Circuit) -> tuple[list, list, list]:
     return modes, [np.array(stack) if stack else stack for stack in values], sequence
 
 
-def _elements(record: tuple) -> list:
+def _elements(record: tuple) -> tuple:
     """The element objects of a record, in document order; elements on one pair share its tuple."""
     modes, values, sequence = record
     pairs = {k: (k, k + 1) for kind in (BEAMSPLITTER, CS) for k in modes[kind]}
@@ -279,7 +277,7 @@ def _elements(record: tuple) -> list:
         map(Beamsplitter, map(pairs.get, modes[BEAMSPLITTER]), map(bool, values[BEAMSPLITTER])),
         map(CSBlock, map(pairs.get, modes[CS]), values[CS]),
     )
-    return [next(made[kind]) for kind in sequence]
+    return tuple([next(made[kind]) for kind in sequence])
 
 
 def _layers(modes: list, sequence: list) -> list:
@@ -300,17 +298,16 @@ def _layers(modes: list, sequence: list) -> list:
 def reconstruct(circuit: Circuit) -> np.ndarray:
     """Total matrix of a circuit: the product of its elements.
 
-    Reads the circuit's record (the held one, or ``_walk``'s, which checks
-    the elements) and layers its elements in one scan; those of one layer
-    act on disjoint rows and commute. Each kind's blocks are built in one
-    call, in (layer, first mode) order: a beamsplitter's block is kron(B, 1),
+    Reads the circuit's record and layers its elements in one scan; those of
+    one layer act on disjoint rows and commute. Each kind's blocks are built
+    in one call, in (layer, first mode) order: a beamsplitter's block is kron(B, 1),
     or kron(B†, 1) when its conjugate flag is set. A group is a run of one
     kind's elements in one layer on abutting rows, so it is one batched
     product on one band view. The result is bit for bit that of applying the
     elements one at a time; an empty circuit gives the identity.
     """
     n_p, dim = circuit.space.n_p, circuit.space.dim
-    modes, values, sequence = _record(circuit)
+    modes, values, sequence = circuit._record
     _require_fits(dim)  # and so every mode and row index fits an intp
 
     runs = []  # each kind's groups in layer order: (layer, first row, element count, blocks)
@@ -342,6 +339,6 @@ def reconstruct(circuit: Circuit) -> np.ndarray:
     return out
 
 
-def embed(element: CircuitElement, space: ModeSpace) -> np.ndarray:
+def embed(element, space: ModeSpace) -> np.ndarray:
     """Composite-basis matrix of a single element, identity elsewhere."""
     return reconstruct(Circuit(space, [element]))

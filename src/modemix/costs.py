@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .circuits import BEAMSPLITTER, CS, INTERNAL, PHASE, Circuit, ModeSpace, _record
+from .circuits import BEAMSPLITTER, CS, INTERNAL, PHASE, Circuit, ModeSpace
 
 
 @dataclass(frozen=True)
@@ -67,8 +67,8 @@ def cost_report(space: ModeSpace) -> CostReport:
 def audit_circuit(circuit: Circuit) -> CostReport:
     """Tally the element kinds of a compiled circuit (see ``_tally``) into a report.
 
-    Refuses what ``reconstruct`` refuses, and stage-1 circuits, which still
-    contain CS mixers: expand them first.
+    Refuses stage-1 circuits, which still contain CS mixers: expand them
+    first.
     """
     beamsplitters, internal, phase_blocks, cs_blocks = _tally(circuit)
     if cs_blocks:
@@ -78,5 +78,5 @@ def audit_circuit(circuit: Circuit) -> CostReport:
 
 def _tally(circuit: Circuit) -> tuple[int, int, int, int]:
     """Beamsplitters of either flag, internal ops, phase blocks and CS blocks in a circuit's record."""
-    counts = Counter(_record(circuit)[-1])
+    counts = Counter(circuit._record[-1])
     return counts[BEAMSPLITTER], counts[INTERNAL], counts[PHASE], counts[CS]

@@ -11,24 +11,22 @@ tagged by ``kind``:
 
 The writer puts the header on the first line and each element on a line
 of its own. It reads the circuit's record, as ``reconstruct`` and the
-counts do (the record the circuit holds, or a checking walk of its
-elements), and writes it by kind: one line
-template per kind with ``%r`` float slots, the text ``json`` writes,
-repeated once per element and filled in one ``%`` call from the kind's
-indices as Python ints and its floats, and one finiteness check per
-kind. Floats are written with ``repr`` precision, so a round trip is
-bit-exact. Complex matrix entries are [re, im] pairs, as complex128 holds them.
+counts do, and writes it by kind: one line template per kind with ``%r``
+float slots, the text ``json`` writes, repeated once per element and
+filled in one ``%`` call from the kind's indices as Python ints and its
+floats, and one finiteness check per kind. Floats are written with
+``repr`` precision, so a round trip is bit-exact. Complex matrix entries
+are [re, im] pairs, as complex128 holds them.
 
-Writer and reader refuse the same documents, and of several faults both
-report an index before a value. The reader checks each kind's numeric
-fields as one stack (fixed shape, JSON numbers only, all finite), each
-index and pair with the walker's own checks and all internal matrices for
-unitarity in one call, and returns a circuit that holds the record of
-these columns: its element objects are built when first read, and until
-then its readers take the record, unless an element list is assigned or
-its space is changed. A compiled circuit read back equals the one written,
-``deserialize(serialize(c)) == c``, element by element. The reader rejects
-unknown versions; silent misreads are worse than failures. Both take each
+What the reader refuses, ``Circuit`` or the writer refuses, and of
+several faults both report an index before a value. The reader checks
+each kind's numeric fields as one stack (fixed shape, JSON numbers only,
+all finite), each index and pair with the walker's own checks and all
+internal matrices for unitarity in one call, and returns a circuit that
+holds the record of these columns, whose element objects are built when
+first read. A compiled circuit read back equals the one written,
+``deserialize(serialize(c)) == c``. The reader rejects unknown versions;
+silent misreads are worse than failures. Both take each
 kind's keys from one table, ``_ROWS``, keyed by kind code.
 """
 
@@ -39,7 +37,7 @@ import json
 import numpy as np
 
 from .circuits import BEAMSPLITTER, CS, INTERNAL, PHASE, Circuit, ModeSpace
-from .circuits import _check_mode, _check_pair, _held, _record
+from .circuits import _check_mode, _check_pair, _held
 from .errors import CircuitFormatError, UnsupportedVersionError
 from .linalg import require_unitary
 
@@ -100,13 +98,12 @@ def _lines(code: int, modes: list, values: list, n_p: int):
 def serialize(circuit: Circuit) -> str:
     """Render a circuit as a JSON document: the header line, then one element per line.
 
-    Refuses what ``deserialize`` would refuse, an index before a value: first
-    the walker's ``TypeError`` or ``DimensionError`` for the first faulty
-    element in document order, then ``ValueError`` for a value that is not
-    finite and ``UnitarityError`` if any internal operation is not unitary.
+    Refuses what ``deserialize`` would refuse and ``Circuit`` has not
+    refused: ``ValueError`` for a value that is not finite, then
+    ``UnitarityError`` if any internal operation is not unitary.
     """
     space = circuit.space
-    modes, values, sequence = _record(circuit)
+    modes, values, sequence = circuit._record
     lines = {}
     # Internal ops last, so that every kind is checked finite before any op for unitarity.
     for code in (CS, BEAMSPLITTER, PHASE, INTERNAL):

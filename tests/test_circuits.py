@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import pickle
 import re
 
 import numpy as np
@@ -24,7 +25,8 @@ from modemix import (
     reconstruct,
     serialize,
 )
-from modemix.circuits import BEAMSPLITTER_2, _check_mode, _check_pair, _record, _walk
+from modemix import circuits
+from modemix.circuits import BEAMSPLITTER_2, _check_mode, _check_pair, _walk
 
 from conftest import max_abs
 
@@ -201,7 +203,7 @@ class TestReconstruct:
         circuit = decompose(haar_random_unitary(6, 1), space)
         assert {e.conjugate for e in circuit.elements if isinstance(e, Beamsplitter)} == {False, True}
         with pytest.raises(kind, match=f"^{re.escape(message)}$"):
-            reconstruct(Circuit(space, circuit.elements + [fault]))
+            Circuit(space, [*circuit.elements, fault])
 
     def test_writing_into_an_embedded_beamsplitter_changes_no_later_call(self):
         space = ModeSpace(3, 2)
@@ -386,10 +388,8 @@ class TestIndexRule:
         ],
     )
     def test_non_integer_index_is_named(self, element, message):
-        circuit = Circuit(ModeSpace(3, 2), [element])
-        for write in (reconstruct, serialize):
-            with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
-                write(circuit)
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            Circuit(ModeSpace(3, 2), [element])
 
     def test_numpy_integers_work(self):
         space = ModeSpace(3, 2)
@@ -407,7 +407,7 @@ class TestIndexRule:
 
 
 class TestValueShapes:
-    """The walker refuses every value shape the writer refuses, with DimensionError."""
+    """A circuit refuses every value shape the reader refuses, with DimensionError, when it is built."""
 
     @pytest.mark.parametrize(
         "space,element,message",
@@ -420,11 +420,8 @@ class TestValueShapes:
         ],
     )
     def test_walker_and_writer_refuse(self, space, element, message):
-        circuit = Circuit(space, [element])
         with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
-            reconstruct(circuit)
-        with pytest.raises(DimensionError):
-            serialize(circuit)
+            Circuit(space, [element])
 
 
 class TestValueTypes:
@@ -521,10 +518,22 @@ class TestEquality:
             Beamsplitter: lambda e: dataclasses.replace(e, conjugate=not e.conjugate),
             CSBlock: lambda e: dataclasses.replace(e, thetas=e.thetas + [0.0, 1e-12]),
         }
-        for i, element in enumerate(circuit.elements):
-            other = compiler(u, space)
-            other.elements[i] = changes[type(element)](element)
-            assert circuit != other and not circuit == other, i
+        elements = circuit.elements
+        for i, element in enumerate(elements):
+            changed = Circuit(space, [*elements[:i], changes[type(element)](element), *elements[i + 1 :]])
+            for other in (changed, deserialize(serialize(changed))):
+                assert circuit != other and not circuit == other, i
+
+    @pytest.mark.parametrize("compiler", [decompose, decompose_stage1])
+    def test_the_same_elements_in_another_kind_order_are_unequal(self, compiler):
+        # Swapping two elements of different kinds keeps each kind's modes and values.
+        space = ModeSpace(3, 2)
+        circuit = compiler(haar_random_unitary(space.dim, 3), space)
+        elements = list(circuit.elements)
+        elements[1], elements[2] = elements[2], elements[1]
+        assert type(elements[1]) is not type(elements[2])
+        swapped = Circuit(space, elements)
+        assert circuit != swapped and not circuit == swapped
 
     @pytest.mark.parametrize(
         "element,changed",
@@ -628,10 +637,10 @@ class TestCompiledAndReadCircuits:
     def test_held_record_is_the_walk_of_its_elements(self, maker, n_s, n_p):
         space = ModeSpace(n_s, n_p)
         circuit = self.MAKERS[maker](haar_random_unitary(space.dim, n_s), space)
-        modes, values, sequence = _record(circuit)
-        assert "elements" not in vars(circuit)  # read from the held record, not from elements
-        walk_modes, walk_values, walk_sequence = _walk(self.plain(circuit))
-        assert "_held" not in vars(circuit)
+        record = modes, values, sequence = circuit._record
+        assert "elements" not in vars(circuit)  # no element built yet
+        walk_modes, walk_values, walk_sequence = _walk(circuit)
+        assert circuit._record is record  # kept once its elements are built
         assert modes == walk_modes and sequence == walk_sequence
         assert all(type(k) is int for kind in modes for k in kind)
         for value, walked in zip(values, walk_values):
@@ -645,50 +654,116 @@ class TestCompiledAndReadCircuits:
         return TestCompiledAndReadCircuits.MAKERS[maker](haar_random_unitary(space.dim, 7), space)
 
     @pytest.mark.parametrize("maker", list(MAKERS))
-    def test_an_element_put_in_after_a_read_is_checked(self, maker):
-        circuit = self.fresh(maker)
-        circuit.elements.append(PhaseBlock(4, np.zeros(2)))
-        expected = [outcome(function, self.plain(circuit)) for function in OUTPUTS]
-        assert expected[:2] == [(DimensionError, "spatial index 4 out of range 1..3")] * 2
-        assert [outcome(function, circuit) for function in OUTPUTS] == expected
-
-    @pytest.mark.parametrize("maker", list(MAKERS))
-    def test_an_assigned_element_list_is_the_circuit(self, maker):
-        circuit, other = self.fresh(maker), self.fresh(maker)
-        circuit.elements = [*other.elements, Beamsplitter((3, 4))]
-        expected = [outcome(function, self.plain(circuit)) for function in OUTPUTS]
-        assert expected[:2] == [(DimensionError, "spatial pair (3, 4) out of range for 3 spatial modes")] * 2
-        assert [outcome(function, circuit) for function in OUTPUTS] == expected
-        circuit = self.fresh(maker)
-        circuit.elements = other.elements[:3]
-        assert [outcome(function, circuit) for function in OUTPUTS[:2]] == [
-            outcome(function, Circuit(circuit.space, other.elements[:3])) for function in OUTPUTS[:2]
-        ]
-
-    @pytest.mark.parametrize("maker", list(MAKERS))
     @pytest.mark.parametrize("n_s,n_p", [(4, 2), (2, 2), (3, 3), (3, 1)])
-    def test_an_assigned_space_is_walked(self, maker, n_s, n_p):
-        circuit = self.fresh(maker)
-        circuit.space = ModeSpace(n_s, n_p)
-        expected = [outcome(function, self.plain(circuit)) for function in OUTPUTS]
-        assert [outcome(function, self.fresh(maker)) for function in OUTPUTS] != expected
-        circuit = self.fresh(maker)
-        circuit.space = ModeSpace(n_s, n_p)
-        assert [outcome(function, circuit) for function in OUTPUTS] == expected
-
-    @pytest.mark.parametrize("maker", list(MAKERS))
-    @pytest.mark.parametrize("n_s,n_p", [(4, 2), (2, 2), (3, 3)])
     def test_a_replaced_space_is_walked(self, maker, n_s, n_p):
-        circuit = dataclasses.replace(self.fresh(maker), space=ModeSpace(n_s, n_p))
-        expected = [outcome(function, self.plain(circuit)) for function in OUTPUTS]
-        assert [outcome(function, circuit) for function in OUTPUTS] == expected
+        # On 2x2 an index and on 3x3 and 3x1 a matrix shape is refused, as Circuit refuses it.
+        space = ModeSpace(n_s, n_p)
+        expected = outcomes(lambda: Circuit(space, list(self.fresh(maker).elements)))
+        assert outcomes(lambda: dataclasses.replace(self.fresh(maker), space=space)) == expected
+        assert isinstance(expected, tuple) == ((n_s, n_p) != (4, 2))
 
     @pytest.mark.parametrize("maker", list(MAKERS))
-    def test_repr_and_equality_read_the_elements(self, maker):
+    def test_repr_reads_the_elements(self, maker):
         circuit = self.fresh(maker)
         assert repr(circuit) == repr(self.plain(self.fresh(maker)))
-        assert repr(circuit).startswith("Circuit(space=ModeSpace(n_s=3, n_p=2), elements=[InternalOp(mode=3, ")
-        other = self.fresh(maker)
-        other.elements = [e for e in other.elements if not isinstance(e, InternalOp)]
+        assert repr(circuit).startswith("Circuit(space=ModeSpace(n_s=3, n_p=2), elements=(InternalOp(mode=3, ")
+        other = Circuit(circuit.space, [e for e in circuit.elements if not isinstance(e, InternalOp)])
         assert circuit != other and other == self.plain(other)
         assert dataclasses.replace(circuit) == dataclasses.replace(self.plain(circuit))
+
+
+def outcomes(make):
+    """What each of OUTPUTS gives for the circuit ``make()`` builds, or the class and message of its refusal."""
+    try:
+        circuit = make()
+    except Exception as exc:  # the class and message are what is compared
+        return type(exc), str(exc)
+    return [outcome(function, circuit) for function in OUTPUTS]
+
+
+class TestFixedCircuits:
+    """A circuit is fixed when it is built: its elements are read once and every reader reads its one record."""
+
+    MAKERS = TestCompiledAndReadCircuits.MAKERS
+
+    def test_a_generator_of_elements_is_read_once(self):
+        space = ModeSpace(2, 1)
+        elements = list(decompose(haar_random_unitary(2, 1), space).elements)
+        circuit, plain = Circuit(space, (e for e in elements)), Circuit(space, elements)
+        expected = [outcome(function, plain) for function in OUTPUTS]
+        for _ in range(2):
+            assert [outcome(function, circuit) for function in OUTPUTS] == expected
+            assert circuit == plain and circuit.elements == tuple(elements)
+
+    @pytest.mark.parametrize("compiler", [decompose, decompose_stage1])
+    def test_equality_builds_no_element(self, compiler, monkeypatch):
+        space = ModeSpace(16, 1)
+        u = haar_random_unitary(space.dim, 16)
+        circuit, again, read = compiler(u, space), compiler(u, space), deserialize(serialize(compiler(u, space)))
+        other = compiler(haar_random_unitary(space.dim, 17), space)
+
+        def refuse(record):
+            raise AssertionError("an element object was built")
+
+        monkeypatch.setattr(circuits, "_elements", refuse)
+        assert circuit == again and circuit == read and read == circuit
+        assert circuit != other and not circuit == other
+        assert "elements" not in vars(circuit) and "elements" not in vars(read)
+
+    def test_a_circuit_has_no_hash(self):
+        with pytest.raises(TypeError):
+            hash(Circuit(ModeSpace(2, 1), [Beamsplitter((1, 2))]))
+        with pytest.raises(TypeError):
+            hash(deserialize(serialize(Circuit(ModeSpace(2, 1), [Beamsplitter((1, 2))]))))
+
+    @pytest.mark.parametrize("maker", list(MAKERS))
+    def test_space_and_elements_cannot_change(self, maker):
+        held = TestCompiledAndReadCircuits.fresh(maker)
+        expected = [outcome(function, held) for function in OUTPUTS]
+        for circuit in (held, Circuit(held.space, list(held.elements))):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                circuit.space = ModeSpace(4, 2)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                circuit.elements = []
+            with pytest.raises(AttributeError):
+                circuit.elements.append(Beamsplitter((1, 2)))
+            assert [outcome(function, circuit) for function in OUTPUTS] == expected  # a refused change changes nothing
+
+    @pytest.mark.parametrize("maker", list(MAKERS))
+    def test_an_element_put_in_after_a_read_is_checked(self, maker):
+        circuit = TestCompiledAndReadCircuits.fresh(maker)
+        expected = [outcome(function, circuit) for function in OUTPUTS]
+        elements = circuit.elements
+        refused = outcomes(lambda: Circuit(circuit.space, [*elements, PhaseBlock(4, np.zeros(2))]))
+        assert refused == (DimensionError, "spatial index 4 out of range 1..3")
+        assert circuit.elements is elements and [outcome(function, circuit) for function in OUTPUTS] == expected
+
+    @pytest.mark.parametrize("maker", list(MAKERS))
+    def test_a_replaced_element_list_is_the_circuit(self, maker):
+        circuit, other = TestCompiledAndReadCircuits.fresh(maker), TestCompiledAndReadCircuits.fresh(maker)
+        refused = outcomes(lambda: dataclasses.replace(circuit, elements=[*other.elements, Beamsplitter((3, 4))]))
+        assert refused == (DimensionError, "spatial pair (3, 4) out of range for 3 spatial modes")
+        replaced = dataclasses.replace(circuit, elements=other.elements[:3])
+        assert replaced.elements == other.elements[:3] and replaced == Circuit(circuit.space, other.elements[:3])
+        assert outcomes(lambda: replaced) == outcomes(lambda: Circuit(circuit.space, list(other.elements[:3])))
+        assert replaced != circuit and circuit == other
+
+    @pytest.mark.parametrize("maker", list(MAKERS))
+    @pytest.mark.parametrize(
+        "duplicate",
+        [copy.copy, copy.deepcopy, lambda circuit: pickle.loads(pickle.dumps(circuit))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_a_copy_reads_the_same(self, maker, duplicate):
+        # Before and after the elements are first read; the copy is as fixed as the circuit.
+        for read in (False, True):
+            circuit = TestCompiledAndReadCircuits.fresh(maker)
+            expected = [outcome(function, TestCompiledAndReadCircuits.fresh(maker)) for function in OUTPUTS]
+            if read:
+                circuit.elements
+            twin = duplicate(circuit)
+            assert ("elements" in vars(twin)) == read
+            assert twin == circuit and [outcome(function, twin) for function in OUTPUTS] == expected
+            assert twin.elements == circuit.elements
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                twin.space = ModeSpace(4, 2)

@@ -36,7 +36,7 @@ def src_env() -> dict:
 
 
 def count_walks(monkeypatch) -> list:
-    """A list that gains an entry at each call of the element walk, which ``_record`` reaches through its module."""
+    """A list that gains an entry at each call of the element walk, which ``Circuit`` reaches through its module."""
     calls, circuits = [], sys.modules["modemix.circuits"]
     walk = circuits._walk
     monkeypatch.setattr(circuits, "_walk", lambda circuit: calls.append(1) or walk(circuit))
