@@ -341,10 +341,24 @@ MUTANTS = [
         ["tests/test_circuits.py"],
     ),
     (
-        "a circuit keeps its elements as a list",
+        "_elements hands out writable views of the record",
         CIRCUITS,
-        'object.__setattr__(self, "elements", tuple(self.elements))',
-        'object.__setattr__(self, "elements", list(self.elements))',
+        "stack.flags.writeable = False",
+        "stack.flags.writeable = True",
+        ["tests/test_circuits.py"],
+    ),
+    (
+        "Circuit.__reduce__ is removed, so a copy carries the built elements",
+        CIRCUITS,
+        "    def __reduce__(self):",
+        "    def _unused_reduce(self):",
+        ["tests/test_circuits.py"],
+    ),
+    (
+        "__post_init__ keeps the caller's elements as a tuple beside the record",
+        CIRCUITS,
+        '        object.__delattr__(self, "elements")  # the record is all a circuit keeps\n',
+        '        object.__setattr__(self, "elements", tuple(self.elements))\n',
         ["tests/test_circuits.py"],
     ),
     (

@@ -13,12 +13,12 @@ and the CLI counts) reads its record: per kind code, the elements' first
 spatial modes and a stack of their values, plus the kind code of every
 element in document order. Each element class has one kind code, and a
 beamsplitter's value is its conjugate flag. A circuit is fixed when it is
-built and gets its record then: ``Circuit(space, elements)`` checks its
-elements with ``_walk``, which gives the record, so a bad element is refused
-there; ``decompose``, ``decompose_stage1`` and ``deserialize`` hand over the
-record they built, and such a circuit builds its element objects when
-``elements`` is first read. Only ``reconstruct`` needs layers, and it scans
-the record for them itself.
+built and holds only its space and record: ``Circuit(space, elements)``
+walks its elements with ``_walk``, so a bad element is refused there, and
+keeps none of them; ``decompose``, ``decompose_stage1`` and ``deserialize``
+hand over the record they built. ``elements`` is built from the record when
+first read, each array a read-only view, so a new value needs a new circuit.
+Only ``reconstruct`` needs layers, and it scans the record for them itself.
 
 Two circuits are equal (``==``) when their spaces, kind sequences and first
 modes are equal and their value stacks are equal under ``np.array_equal``,
@@ -115,25 +115,27 @@ class CSBlock:
 class Circuit:
     """Ordered element sequence over a mode space, in application order, fixed when built.
 
-    ``elements`` may be any iterable; it is kept as a tuple and checked, and
-    its record kept, when the circuit is built. A circuit built by ``_held``
-    keeps the record it was made from and builds the tuple when ``elements``
-    is first read.
+    ``elements`` may be any iterable; it is read once, checked and kept only
+    as its record. Every circuit builds its element tuple from that record
+    when ``elements`` is first read, with read-only arrays.
     """
 
     space: ModeSpace
     elements: tuple = field(default_factory=tuple)  # no class attribute, which would hide __getattr__
 
     def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(self.elements))
         object.__setattr__(self, "_record", _walk(self))
+        object.__delattr__(self, "elements")  # the record is all a circuit keeps
 
     def __getattr__(self, name):
-        # Called only for a name the instance lacks: a held circuit's elements.
-        if name != "elements" or "_record" not in vars(self):
+        # Called only for a name the instance lacks: elements not yet built from the record.
+        if name != "elements":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         object.__setattr__(self, "elements", _elements(self._record))
         return self.elements
+
+    def __reduce__(self):  # copy, deepcopy and pickle rebuild through _held; a copy builds its own elements
+        return _held, (self.space, self._record)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -146,10 +148,11 @@ class Circuit:
 
 
 def _held(space: ModeSpace, record: tuple) -> Circuit:
-    """A circuit on ``space`` that holds ``record``, whose elements are built when first read.
+    """A circuit on ``space`` that holds ``record``, as ``Circuit(space, elements)`` does once walked.
 
-    For the builders of circuits whose record is checked by construction:
-    ``decompose``, ``decompose_stage1`` and ``deserialize``.
+    For the builders of circuits whose record is checked by construction
+    (``decompose``, ``decompose_stage1`` and ``deserialize``), and for copies
+    and pickles through ``Circuit.__reduce__``.
     """
     circuit = Circuit.__new__(Circuit)
     circuit.__dict__.update(space=space, _record=record)
@@ -270,6 +273,9 @@ def _walk(circuit: Circuit) -> tuple[list, list, list]:
 def _elements(record: tuple) -> tuple:
     """The element objects of a record, in document order; elements on one pair share its tuple."""
     modes, values, sequence = record
+    values = [np.asarray(stack).view() for stack in values]
+    for stack in values:  # the one place record arrays are handed out, so no element can change its circuit
+        stack.flags.writeable = False
     pairs = {k: (k, k + 1) for kind in (BEAMSPLITTER, CS) for k in modes[kind]}
     made = (
         map(InternalOp, modes[INTERNAL], values[INTERNAL]),

@@ -110,7 +110,7 @@ def serialize(circuit: Circuit) -> str:
         if modes[code]:
             lines[code] = _lines(code, modes[code], values[code], space.n_p)
     elements = [next(lines[code]) for code in sequence]
-    lines.clear()  # so that no value stack outlives its lines into the join
+    lines.clear()  # so that each kind's list of line strings is freed before the join
     elements = ",\n".join(elements)
     header = f'{{"format_version": "{FORMAT_VERSION}", "n_s": {space.n_s}, "n_p": {space.n_p}'
     return f'{header}, "elements": [\n{elements}]}}\n'

@@ -1,7 +1,9 @@
 import copy
 import dataclasses
+import gc
 import pickle
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -762,8 +764,82 @@ class TestFixedCircuits:
             if read:
                 circuit.elements
             twin = duplicate(circuit)
-            assert ("elements" in vars(twin)) == read
+            assert "elements" not in vars(twin)  # a copy never carries a built tuple
             assert twin == circuit and [outcome(function, twin) for function in OUTPUTS] == expected
             assert twin.elements == circuit.elements
             with pytest.raises(dataclasses.FrozenInstanceError):
                 twin.space = ModeSpace(4, 2)
+
+    BUILDERS = {
+        **MAKERS,
+        "list": lambda u, space: Circuit(space, list(decompose(u, space).elements)),
+        "generator": lambda u, space: Circuit(space, (e for e in decompose_stage1(u, space).elements)),
+    }
+    DUPLICATES = {
+        "copy": copy.copy,
+        "deepcopy": copy.deepcopy,
+        "pickle": lambda circuit: pickle.loads(pickle.dumps(circuit)),
+    }
+
+    @staticmethod
+    def built(maker):
+        space = ModeSpace(3, 2)
+        return TestFixedCircuits.BUILDERS[maker](haar_random_unitary(space.dim, 7), space)
+
+    @pytest.mark.parametrize("maker", list(BUILDERS))
+    def test_element_arrays_are_read_only(self, maker):
+        circuit = self.built(maker)
+        expected = [outcome(function, circuit) for function in OUTPUTS]
+        stage1 = maker in ("decompose_stage1", "deserialize stage 1", "generator")
+        assert refuse_writes(circuit) == ({"matrix", "thetas"} if stage1 else {"matrix", "phases"})
+        assert [outcome(function, circuit) for function in OUTPUTS] == expected  # a refused write changes nothing
+        assert Circuit(circuit.space, circuit.elements) == circuit
+
+    @pytest.mark.parametrize("maker", list(BUILDERS))
+    def test_a_circuit_and_its_copies_hold_only_their_record(self, maker):
+        # Copies made before and after a read; each builds its own read-only elements when first read.
+        for read in (False, True):
+            circuit = self.built(maker)
+            if read:
+                circuit.elements
+            for twin in [circuit, *(duplicate(circuit) for duplicate in self.DUPLICATES.values())]:
+                assert set(vars(twin)) == {"space", "_record"} | ({"elements"} if read and twin is circuit else set())
+                assert twin.elements == circuit.elements and set(vars(twin)) == {"space", "_record", "elements"}
+                refuse_writes(twin)
+                assert Circuit(twin.space, twin.elements) == twin == circuit
+
+    def test_a_built_circuit_keeps_no_element(self):
+        space = ModeSpace(3, 2)
+        elements = copy.deepcopy(decompose(haar_random_unitary(space.dim, 7), space).elements)
+        first, expected = weakref.ref(elements[0]), copy.deepcopy(elements)
+        circuit = Circuit(space, elements)
+        del elements
+        gc.collect()
+        assert first() is None and circuit.elements == expected
+
+    @pytest.mark.parametrize("maker", list(MAKERS))
+    @pytest.mark.parametrize("read", [False, True], ids=["unread", "read"])
+    def test_a_write_into_a_passed_array_changes_nothing(self, maker, read):
+        source = TestCompiledAndReadCircuits.fresh(maker)
+        elements, kept = copy.deepcopy(source.elements), copy.deepcopy(source.elements)  # writable arrays
+        circuit = Circuit(source.space, elements)
+        if read:
+            circuit.elements
+        for _, array in value_arrays(elements):
+            array[...] = 7
+        assert circuit.elements == kept and circuit == source
+        assert [outcome(function, circuit) for function in OUTPUTS] == [outcome(function, source) for function in OUTPUTS]
+
+
+def value_arrays(elements):
+    """Each element's value array with its field name, in document order; a beamsplitter has none."""
+    return [(name, getattr(e, name)) for e in elements for name in ("matrix", "phases", "thetas") if hasattr(e, name)]
+
+
+def refuse_writes(circuit):
+    """Check that every value array of ``circuit``'s elements refuses a write; the field names met."""
+    arrays = value_arrays(circuit.elements)
+    for _, array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 7
+    return {name for name, _ in arrays}
