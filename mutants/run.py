@@ -250,6 +250,20 @@ MUTANTS = [
         ["tests/test_circuits.py"],
     ),
     (
+        "main runs its command with the collector on",
+        "src/modemix/cli.py",
+        "    gc.disable()\n",
+        "",
+        ["tests/test_cli.py"],
+    ),
+    (
+        "main leaves the collector off after a command",
+        "src/modemix/cli.py",
+        "        if collecting:\n            gc.enable()\n",
+        "        pass\n",
+        ["tests/test_cli.py"],
+    ),
+    (
         "the beamsplitter tally of audit_circuit and the CLI counts only conjugate beamsplitters",
         "src/modemix/costs.py",
         "return counts[BEAMSPLITTER],",
@@ -280,8 +294,29 @@ MUTANTS = [
     (
         "the record builder puts +θ on mode k+1 and -θ on mode k",
         "src/modemix/decompose.py",
-        "for k in (first, first + 1)]",
-        "for k in (first + 1, first)]",
+        "modes[PHASE] = pairs.ravel().tolist()",
+        "modes[PHASE] = pairs[:, ::-1].ravel().tolist()",
+        ["tests/test_decompose.py"],
+    ),
+    (
+        "the record builder puts each mixer's first internal op on mode k and its second on mode k+1",
+        "src/modemix/decompose.py",
+        "pairs[:, ::-1].ravel().tolist() + list(",
+        "pairs.ravel().tolist() + list(",
+        ["tests/test_decompose.py"],
+    ),
+    (
+        "stage 1 writes each wave's Q's to its steps' slots in reverse",
+        "src/modemix/decompose.py",
+        "unitaries[slots[end - w : end]] = q",
+        "unitaries[slots[end - w : end][::-1]] = q",
+        ["tests/test_decompose.py"],
+    ),
+    (
+        "stage 1 gives each mixer the mode of the slot before its own",
+        "src/modemix/decompose.py",
+        "np.concatenate([[n_s - 1], r[::-1] - 1])",
+        "np.concatenate([r[::-1] - 1, [n_s - 1]])",
         ["tests/test_decompose.py"],
     ),
     (

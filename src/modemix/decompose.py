@@ -28,7 +28,7 @@ from .errors import DimensionError
 from .linalg import _numbers, require_unitary
 
 
-def _factor(u, space: ModeSpace, owner) -> tuple[list, np.ndarray, np.ndarray]:
+def _factor(u, space: ModeSpace, owner) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stage 1's factors of ``u``: the core that both ``decompose_stage1`` and ``decompose`` build from.
 
     Step (c, r), for column block c and row block r > c, takes one complete
@@ -52,7 +52,7 @@ def _factor(u, space: ModeSpace, owner) -> tuple[list, np.ndarray, np.ndarray]:
     compiler called, names it in the ``TypeError``.
 
     Returns the first spatial mode k of each mixer in application order, as
-    Python ints; the mixers' angles, one row each; and the stack of internal
+    an integer array; the mixers' angles, one row each; and the stack of internal
     ops in application order: ops[2j] on mode k+1 and ops[2j+1] on mode k
     before mixer j, then the n_s ops after the last mixer, on modes n_s down
     to 1.
@@ -68,7 +68,7 @@ def _factor(u, space: ModeSpace, owner) -> tuple[list, np.ndarray, np.ndarray]:
     require_unitary(u, "input")
     n_s, n_p = space.n_s, space.n_p
     if n_s == 1:
-        return [], np.empty((0, n_p)), u[None]
+        return np.empty(0, dtype=int), np.empty((0, n_p)), u[None]
 
     # The 2n_p x 2n_p unitaries in application order, V first and then the
     # Q's from last to first, each with the upper of its two spatial modes.
@@ -76,27 +76,27 @@ def _factor(u, space: ModeSpace, owner) -> tuple[list, np.ndarray, np.ndarray]:
     # listed column by column and from the bottom up, the order that gives
     # each Q its slot; the last column's one step is V's, taken whole.
     count = n_s * (n_s - 1) // 2
-    modes = np.empty(count, dtype=int)
     unitaries = np.empty((count, 2 * n_p, 2 * n_p), dtype=complex)
     above, below = np.triu_indices(n_s, 1)
     c, r = above[:-1] + 1, (n_s + 1 + above - below)[:-1]
-    slot = np.arange(count - 1, 0, -1)
+    modes = np.concatenate([[n_s - 1], r[::-1] - 1])  # by slot: V's, then each step's r - 1, last step first
     wave = (n_s - r) + 2 * (c - 1)
     order = np.argsort(wave, kind="stable")
-    ends = np.cumsum(np.bincount(wave)).tolist()
-    for start, end in zip([0] + ends, ends):
+    widths = np.bincount(wave)
+    ends = np.cumsum(widths)
+    heads, slots = order[ends - widths], count - 1 - order
+    # Per wave, read once as Python ints: its width, first column and row
+    # blocks, and the end of its steps' slots.
+    for w, c0, r0, end in zip(widths.tolist(), c[heads].tolist(), r[heads].tolist(), ends.tolist()):
         # Across a wave c steps by 1 and r by 2, so its row pairs tile one band,
         # and step s nulls column block s: the steps' blocks are a diagonal view.
         # Left of that block its rows hold nulled blocks, read by nothing.
-        steps, w = order[start:end], end - start
-        c0, r0 = c[steps[0]], r[steps[0]]
         band = u[(r0 - 2) * n_p : (r0 - 2 + 2 * w) * n_p, (c0 - 1) * n_p :].reshape(w, 2 * n_p, -1)
-        blocks = np.diagonal(band[..., : w * n_p].reshape(w, 2 * n_p, w, n_p), axis1=0, axis2=2)
+        blocks = band[..., : w * n_p].reshape(w, 2 * n_p, w, n_p).diagonal(axis1=0, axis2=2)
         q, _ = np.linalg.qr(blocks.transpose(2, 0, 1), mode="complete")
         band[...] = q.conj().swapaxes(1, 2) @ band
-        modes[slot[steps]], unitaries[slot[steps]] = r[steps] - 1, q
-    modes[0], unitaries[0] = n_s - 1, u[-2 * n_p :, -2 * n_p :]
-    modes = modes.tolist()
+        unitaries[slots[end - w : end]] = q
+    unitaries[0] = u[-2 * n_p :, -2 * n_p :]
 
     left_top, left_bottom, thetas, right_top, right_bottom = csd_stack(unitaries, n_p)
     del unitaries  # so that the merge's stacks stay under csd_stack's memory peak
@@ -112,7 +112,7 @@ def _factor(u, space: ModeSpace, owner) -> tuple[list, np.ndarray, np.ndarray]:
     lefts = np.concatenate([left_bottom, left_top, diagonal])
     last = [None, *range(2 * count, 2 * count + n_s - 2), count, 0]
     before = []
-    for j, k in enumerate(modes[1:], 1):
+    for j, k in enumerate(modes[1:].tolist(), 1):
         before += [last[k + 1], last[k]]
         last[k + 1], last[k] = j, count + j
     first = np.stack([right_bottom[0], right_top[0]]).conj().swapaxes(1, 2)
@@ -130,17 +130,18 @@ def _circuit(u, space: ModeSpace, expand: bool) -> Circuit:
     beamsplitter. The circuit builds its element objects when they are read.
     """
     firsts, thetas, ops = _factor(u, space, decompose if expand else decompose_stage1)
+    pairs = np.stack([firsts, firsts + 1], axis=1)  # each mixer's modes k, k + 1
     modes, values = [[] for _ in range(4)], [[] for _ in range(4)]
-    modes[INTERNAL] = [*(k for first in firsts for k in (first + 1, first)), *range(space.n_s, 0, -1)]
+    modes[INTERNAL] = pairs[:, ::-1].ravel().tolist() + list(range(space.n_s, 0, -1))
     values[INTERNAL] = ops
     if expand:
-        modes[BEAMSPLITTER] = [k for first in firsts for k in (first, first)]
+        modes[BEAMSPLITTER] = pairs[:, [0, 0]].ravel().tolist()
         values[BEAMSPLITTER] = np.tile([True, False], len(firsts))
-        modes[PHASE] = [k for first in firsts for k in (first, first + 1)]
+        modes[PHASE] = pairs.ravel().tolist()
         values[PHASE] = np.stack([thetas, -thetas], axis=1).reshape(-1, space.n_p)
         mixer = [BEAMSPLITTER, PHASE, PHASE, BEAMSPLITTER]
     else:
-        modes[CS], values[CS], mixer = firsts, thetas, [CS]
+        modes[CS], values[CS], mixer = firsts.tolist(), thetas, [CS]
     sequence = [INTERNAL, INTERNAL, *mixer] * len(firsts) + [INTERNAL] * space.n_s
     return _held(space, (modes, values, sequence))
 

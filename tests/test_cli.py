@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -376,6 +377,48 @@ class TestCsdCommand:
     def test_m_exceeding_n_exits_4(self, tmp_path, haar_file):
         inp = haar_file(6, 4)
         assert run(["csd", inp, tmp_path / "f", "--m", 4]) == 4
+
+
+class TestCollector:
+    """``main`` runs each command with the cyclic collector off and leaves the caller's setting as it found it."""
+
+    @pytest.fixture(params=[True, False], ids=["caller-enabled", "caller-disabled"])
+    def caller(self, request):
+        was = gc.isenabled()
+        gc.enable() if request.param else gc.disable()
+        yield request.param
+        gc.enable() if was else gc.disable()
+
+    @pytest.mark.parametrize(
+        "args,code",
+        [
+            (["cost", "--ns", 3, "--np", 2], 0),
+            (["decompose", "{dir}/bad.mat", "{dir}/o.json", "--ns", 2, "--np", 2], 2),
+            (["decompose", "{dir}/nu.mat", "{dir}/o.json", "--ns", 2, "--np", 2], 3),
+            (["random", "{dir}/x.mat", "--dim", 0], 4),
+        ],
+        ids=["exit-0", "exit-2", "exit-3", "exit-4"],
+    )
+    def test_state_is_restored(self, tmp_path, capsys, caller, args, code):
+        (tmp_path / "bad.mat").write_text("this is not a matrix\n")
+        save_matrix(tmp_path / "nu.mat", np.eye(4) * 1.5)
+        assert run([str(a).format(dir=tmp_path) for a in args]) == code
+        assert gc.isenabled() is caller
+
+    def test_command_runs_with_the_collector_off(self, monkeypatch, caller):
+        seen = []
+        monkeypatch.setattr(sys.modules["modemix.cli"], "_cmd_cost", lambda args: seen.append(gc.isenabled()) or 0)
+        assert run(["cost", "--ns", 3, "--np", 2]) == 0
+        assert seen == [False] and gc.isenabled() is caller
+
+    def test_state_is_restored_when_a_command_raises(self, monkeypatch, caller):
+        def fail(args):
+            raise RuntimeError("fault inside a command")
+
+        monkeypatch.setattr(sys.modules["modemix.cli"], "_cmd_cost", fail)
+        with pytest.raises(RuntimeError):
+            run(["cost", "--ns", 3, "--np", 2])
+        assert gc.isenabled() is caller
 
 
 class TestSubprocessEntry:

@@ -489,3 +489,25 @@ class TestStructuredInputProperties:
         assert max_abs(reconstruct(circuit), u) <= 1e-9
         restored = deserialize(serialize(circuit))
         assert_bit_identical(circuit.elements, restored.elements)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the unitarity gate bounds entries of M†M - 1, so it admits a row scaled just inside it, "
+        "whose nearest unitary is already 7e-10 away: its circuit reconstructs to 1.2e-9",
+    )
+    def test_row_scaled_to_the_gate_is_refused_or_compiles_to_1e_9(self):
+        # Scaling row i by 1 + s moves entry (k, l) of M†M by (2s + s^2) |u_ik| |u_il|.
+        # The gate then admits the largest s for the row whose largest entry is
+        # smallest: row 239 of this input.
+        space = ModeSpace(8, 128)
+        u = haar_random_unitary(space.dim, 0)
+        row = int(np.argmin(np.max(np.abs(u), axis=1)))
+        assert row == 239
+        peak = np.max(np.abs(u[row])) ** 2
+        u[row] *= np.sqrt(1 + 0.999 * UNITARY_TOL / peak)
+        assert 0.998 * UNITARY_TOL <= unitarity_defect(u) <= UNITARY_TOL
+        try:
+            circuit = decompose(u, space)
+        except UnitarityError:
+            return
+        assert max_abs(reconstruct(circuit), u) <= 1e-9
