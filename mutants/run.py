@@ -29,8 +29,8 @@ MUTANTS = [
     (
         "the reader adds 0.0 to every phase",
         SERIALIZATION,
-        "values = _numbers(values, (space.n_p,), value_key)",
-        "values = _numbers(values, (space.n_p,), value_key) + 0.0",
+        "return firsts, _numbers(values, shape, value_key)",
+        "return firsts, _numbers(values, shape, value_key) + 0.0",
         ["tests/test_serialization.py"],
     ),
     (
@@ -50,8 +50,8 @@ MUTANTS = [
     (
         "the reader reads every conjugate flag as false",
         SERIALIZATION,
-        "values = np.array(values)",
-        "values = np.zeros(len(values), dtype=bool)",
+        "return firsts, np.array(values)",
+        "return firsts, np.zeros(len(values), dtype=bool)",
         ["tests/test_serialization.py"],
     ),
     (
@@ -124,17 +124,17 @@ MUTANTS = [
         ["tests/test_circuits.py"],
     ),
     (
-        "the walk casts angles with dtype=float again",
+        "the walk casts angles and matrices with dtype= again",
         CIRCUITS,
-        "angles = _numbers(type(element), values, name, float)",
-        "angles = np.asarray(values, dtype=float)",
+        "value = _numbers(type(element), value, name, number)",
+        "value = np.asarray(value, dtype=number)",
         ["tests/test_circuits.py"],
     ),
     (
         "the walk skips the range check of a spatial index",
         CIRCUITS,
-        "k = _check_mode(element.mode, space)",
-        "k = element.mode",
+        "_check_mode(element.mode, space)",
+        "element.mode",
         ["tests/test_serialization.py"],
     ),
     (
@@ -154,8 +154,8 @@ MUTANTS = [
     (
         "the walk skips the shape check of an internal matrix",
         CIRCUITS,
-        "if value.shape != (n_p, n_p):",
-        "if False:",
+        "if value.shape != shape:",
+        "if rank != 2 and value.shape != shape:",
         ["tests/test_serialization.py"],
     ),
     (
@@ -182,8 +182,15 @@ MUTANTS = [
     (
         "the writer formats phases and thetas with %.16g, not %r",
         SERIALIZATION,
-        'value = "[%s]" % ", ".join(["%r"] * n_p)',
-        'value = "[%s]" % ", ".join(["%.16g"] * n_p)',
+        'float: "%r"',
+        'float: "%.16g"',
+        ["tests/test_serialization.py"],
+    ),
+    (
+        "the writer writes a complex matrix entry as one %r, not an [re, im] pair",
+        SERIALIZATION,
+        'complex: "[%r, %r]"',
+        'complex: "%r"',
         ["tests/test_serialization.py"],
     ),
     (
@@ -229,6 +236,20 @@ MUTANTS = [
         ["tests/test_serialization.py"],
     ),
     (
+        "CS blocks are dropped from the pair kinds",
+        CIRCUITS,
+        "_PAIRED = frozenset({BEAMSPLITTER, CS})",
+        "_PAIRED = frozenset({BEAMSPLITTER})",
+        ["tests/test_circuits.py"],
+    ),
+    (
+        "the kind table gives phases rank 2",
+        CIRCUITS,
+        'PHASE: ("phases", float, 1)',
+        'PHASE: ("phases", float, 2)',
+        ["tests/test_circuits.py"],
+    ),
+    (
         "the walk dispatches on element kind through isinstance",
         CIRCUITS,
         "kind = _KINDS.get(type(element))",
@@ -261,6 +282,13 @@ MUTANTS = [
         "src/modemix/cli.py",
         "        if collecting:\n            gc.enable()\n",
         "        pass\n",
+        ["tests/test_cli.py"],
+    ),
+    (
+        "the counts line picks its form by whether any CS block was counted",
+        "src/modemix/cli.py",
+        "if args.stage1_only:",
+        "if cs_blocks:",
         ["tests/test_cli.py"],
     ),
     (

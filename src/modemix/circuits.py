@@ -12,7 +12,10 @@ Every reader of a circuit (``reconstruct``, ``serialize``, ``audit_circuit``
 and the CLI counts) reads its record: per kind code, the elements' first
 spatial modes and a stack of their values, plus the kind code of every
 element in document order. Each element class has one kind code, and a
-beamsplitter's value is its conjugate flag. A circuit is fixed when it is
+beamsplitter's value is its conjugate flag. Each kind's rules are stated
+once, here: ``_VALUES`` gives its value field, number type and rank, and
+``_PAIRED`` holds the kinds on a spatial pair; the walker, the layering,
+the writer and the reader all ask them. A circuit is fixed when it is
 built and holds only its space and record: ``Circuit(space, elements)``
 walks its elements with ``_walk``, so a bad element is refused there, and
 keeps none of them; ``decompose``, ``decompose_stage1`` and ``deserialize``
@@ -195,22 +198,6 @@ def _flag(flag) -> bool:
         raise TypeError(f"Beamsplitter conjugate must be a bool or an integer, got {type(flag).__name__}") from None
 
 
-def _block_fault(element, width: int, shape: tuple) -> DimensionError:
-    return DimensionError(f"{type(element).__name__} needs a {width}x{width} block, got shape {shape}")
-
-
-def _angles(element, values, name: str, n_p: int, span: int) -> np.ndarray:
-    """The n_p angles of a phase block (span 1) or CS block (span 2) as floats."""
-    angles = _numbers(type(element), values, name, float)
-    if angles.shape == (n_p,):
-        return angles
-    if angles.ndim == 1:  # named by the block that many angles would build
-        raise _block_fault(element, span * n_p, (span * angles.size,) * 2)
-    raise DimensionError(
-        f"{type(element).__name__} needs {name} of shape {(n_p,)}, got shape {angles.shape}"
-    )
-
-
 def _phase_blocks(phases: np.ndarray, n_p: int) -> np.ndarray:
     """Stack of diag(exp(i*phases[j])), one n_p x n_p block per row of ``phases``."""
     blocks = np.zeros((len(phases), n_p, n_p), dtype=complex)
@@ -231,12 +218,24 @@ def _kron_eye(b: np.ndarray, n_p: int) -> np.ndarray:
 # cannot hold.
 INTERNAL, PHASE, BEAMSPLITTER, CS = range(4)
 _KINDS = {InternalOp: INTERNAL, PhaseBlock: PHASE, Beamsplitter: BEAMSPLITTER, CSBlock: CS}
+# Each kind's value field, number type and rank: a value has shape (n_p,) * rank.
+# The walker, the writer and the reader take every kind's value rules from here.
+_VALUES = {
+    INTERNAL: ("matrix", complex, 2),
+    PHASE: ("phases", float, 1),
+    BEAMSPLITTER: ("conjugate", bool, 0),
+    CS: ("thetas", float, 1),
+}
+# The kinds that sit on an adjacent spatial pair (k, k+1); the others sit on one spatial mode.
+_PAIRED = frozenset({BEAMSPLITTER, CS})
 
 
 def _walk(circuit: Circuit) -> tuple[list, list, list]:
     """The one checking pass over a circuit's elements, in document order.
 
-    Checks each element's type, index or pair and value type and shape.
+    Checks each element's type, then its index or pair, then its value: a
+    flag through ``_flag``, numbers through ``_numbers`` as the kind's number
+    type, then of shape ``(n_p,) * rank`` as ``_VALUES`` gives.
     Returns the circuit's record: for each kind code, the first spatial modes
     of its elements as Python ints and the stack of their values (an empty
     list for a kind with no elements), then every element's kind code in
@@ -250,20 +249,16 @@ def _walk(circuit: Circuit) -> tuple[list, list, list]:
         kind = _KINDS.get(type(element))
         if kind is None:
             raise TypeError(f"unknown circuit element type: {type(element).__name__}")
-        if kind < BEAMSPLITTER:
-            k = _check_mode(element.mode, space)
-            if kind == INTERNAL:
-                value = _numbers(type(element), element.matrix, "matrix", complex)
-                if value.shape != (n_p, n_p):
-                    raise _block_fault(element, n_p, value.shape)
-            else:
-                value = _angles(element, element.phases, "phases", n_p, 1)
+        k = _check_pair(element.pair, space)[0] if kind in _PAIRED else _check_mode(element.mode, space)
+        name, number, rank = _VALUES[kind]
+        value = getattr(element, name)
+        if number is bool:
+            value = _flag(value)
         else:
-            k = _check_pair(element.pair, space)[0]
-            if kind == CS:
-                value = _angles(element, element.thetas, "thetas", n_p, 2)
-            else:
-                value = _flag(element.conjugate)
+            value = _numbers(type(element), value, name, number)
+            shape = (n_p,) * rank
+            if value.shape != shape:
+                raise DimensionError(f"{type(element).__name__} needs {name} of shape {shape}, got shape {value.shape}")
         modes[kind].append(k)
         values[kind].append(value)
         sequence.append(kind)
@@ -276,7 +271,7 @@ def _elements(record: tuple) -> tuple:
     values = [np.asarray(stack).view() for stack in values]
     for stack in values:  # the one place record arrays are handed out, so no element can change its circuit
         stack.flags.writeable = False
-    pairs = {k: (k, k + 1) for kind in (BEAMSPLITTER, CS) for k in modes[kind]}
+    pairs = {k: (k, k + 1) for kind in _PAIRED for k in modes[kind]}
     made = (
         map(InternalOp, modes[INTERNAL], values[INTERNAL]),
         map(PhaseBlock, modes[PHASE], values[PHASE]),
@@ -293,10 +288,10 @@ def _layers(modes: list, sequence: list) -> list:
     layers = [[] for _ in modes]
     for kind in sequence:
         k = next(firsts[kind])
-        if kind < BEAMSPLITTER:
-            layer = depth[k] = depth[k] + 1
-        else:
+        if kind in _PAIRED:
             layer = depth[k] = depth[k + 1] = max(depth[k], depth[k + 1]) + 1
+        else:
+            layer = depth[k] = depth[k] + 1
         layers[kind].append(layer)
     return layers
 

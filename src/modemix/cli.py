@@ -112,13 +112,6 @@ def _tolerance_ok(tol: float) -> None:
         raise DimensionError(f"tolerance must be finite and positive, got {tol}")
 
 
-def _counts_line(circuit) -> str:
-    beamsplitters, internal, phase_blocks, cs_blocks = _tally(circuit)
-    if cs_blocks:
-        return f"internal={internal} cs_blocks={cs_blocks}"
-    return f"beamsplitters={beamsplitters} internal={internal} phase_blocks={phase_blocks}"
-
-
 def _cmd_decompose(args) -> int:
     _tolerance_ok(args.tol)
     u = load_matrix(args.input)
@@ -127,7 +120,11 @@ def _cmd_decompose(args) -> int:
     circuit = compiler(u, ModeSpace(args.ns, args.np))
     with open(args.output, "w", encoding="ascii") as handle:
         handle.write(serialize(circuit))
-    print(_counts_line(circuit))
+    beamsplitters, internal, phase_blocks, cs_blocks = _tally(circuit)
+    if args.stage1_only:  # the compiler that ran picks the form, even for a circuit with no CS block
+        print(f"internal={internal} cs_blocks={cs_blocks}")
+    else:
+        print(f"beamsplitters={beamsplitters} internal={internal} phase_blocks={phase_blocks}")
     return _verdict(circuit, u, args.tol)
 
 

@@ -26,8 +26,11 @@ internal matrices for unitarity in one call, and returns a circuit that
 holds the record of these columns, whose element objects are built when
 first read. A compiled circuit read back equals the one written,
 ``deserialize(serialize(c)) == c``. The reader rejects unknown versions;
-silent misreads are worse than failures. Both take each
-kind's keys from one table, ``_ROWS``, keyed by kind code.
+silent misreads are worse than failures. This module holds only each kind
+code's file kind, ``_FILE_KINDS``. Both take a kind's value key, number
+type and rank from ``circuits._VALUES``, the kind table the walker checks
+with, and its index key from ``circuits._PAIRED``: ``spatial_pair`` for a
+kind on a pair, ``spatial_index`` for the others.
 """
 
 from __future__ import annotations
@@ -37,50 +40,48 @@ import json
 import numpy as np
 
 from .circuits import BEAMSPLITTER, CS, INTERNAL, PHASE, Circuit, ModeSpace
-from .circuits import _check_mode, _check_pair, _held
+from .circuits import _PAIRED, _VALUES, _check_mode, _check_pair, _held
 from .errors import CircuitFormatError, UnsupportedVersionError
 from .linalg import require_unitary
 
 FORMAT_VERSION = "1"
 
 
-# One row per kind code: its file kind, its index key and its value key.
-_ROWS = {
-    INTERNAL: ("internal", "spatial_index", "matrix"),
-    PHASE: ("phase_block", "spatial_index", "phases"),
-    BEAMSPLITTER: ("beamsplitter", "spatial_pair", "conjugate"),
-    CS: ("cs_block", "spatial_pair", "thetas"),
-}
-_CODES = {kind: code for code, (kind, _, _) in _ROWS.items()}
+# Each kind code's file kind; its keys and value shape come from the kind table in ``circuits``.
+_FILE_KINDS = {INTERNAL: "internal", PHASE: "phase_block", BEAMSPLITTER: "beamsplitter", CS: "cs_block"}
+_CODES = {kind: code for code, kind in _FILE_KINDS.items()}
+
+
+def _index_key(code: int) -> str:
+    """The key of a kind's spatial index, or of its pair."""
+    return "spatial_pair" if code in _PAIRED else "spatial_index"
 
 
 def _template(code: int, n_p: int) -> str:
     """One kind's line: %d slots for the index or pair, %r slots (``json``'s float text) for floats, %s for a flag."""
-    kind, index_key, value_key = _ROWS[code]
-    index = "%d" if index_key == "spatial_index" else "[%d, %d]"
-    if value_key == "conjugate":
-        value = "%s"
-    elif value_key == "matrix":  # each complex entry as an [re, im] pair
-        value = "[%s]" % ", ".join(["[%s]" % ", ".join(["[%r, %r]"] * n_p)] * n_p)
-    else:
-        value = "[%s]" % ", ".join(["%r"] * n_p)
-    return f'{{"kind": "{kind}", "{index_key}": {index}, "{value_key}": {value}}}'
+    value_key, number, rank = _VALUES[code]
+    index = "[%d, %d]" if code in _PAIRED else "%d"
+    value = {bool: "%s", float: "%r", complex: "[%r, %r]"}[number]  # a complex entry as an [re, im] pair
+    for _ in range(rank):
+        value = "[%s]" % ", ".join([value] * n_p)
+    return f'{{"kind": "{_FILE_KINDS[code]}", "{_index_key(code)}": {index}, "{value_key}": {value}}}'
 
 
 def _lines(code: int, modes: list, values: list, n_p: int):
     """The lines of one kind's elements in document order, once their values are checked."""
-    kind, index_key, value_key = _ROWS[code]
+    number = _VALUES[code][1]
     stack = np.array(values)
     if not np.isfinite(stack).all():
-        raise ValueError(f"{kind} values must be finite; NaN and infinity are not JSON compliant")
-    if value_key == "matrix":
+        raise ValueError(f"{_FILE_KINDS[code]} values must be finite; NaN and infinity are not JSON compliant")
+    if number is complex:
         require_unitary(stack, "an internal operation")
-        stack = stack.view(float).reshape(len(stack), -1)
-    elif value_key == "conjugate":  # each flag as JSON spells it
-        stack = np.where(stack, "true", "false")[:, None]
+        stack = stack.view(float)
+    elif number is bool:  # each flag as JSON spells it
+        stack = np.where(stack, "true", "false")
+    stack = stack.reshape(len(stack), -1)
     # One row per element: its index or pair as Python ints (through a float, an
     # index past 2**53 would round), then its Python floats or flag text.
-    width = 1 if index_key == "spatial_index" else 2
+    width = 2 if code in _PAIRED else 1
     table = np.empty((len(stack), width + stack.shape[1]), dtype=object)
     table[:, 0] = modes
     if width == 2:
@@ -149,31 +150,28 @@ def _numbers(values: list, shape: tuple[int, ...], what: str) -> np.ndarray:
 
 def _columns(code: int, objs: list, space: ModeSpace) -> tuple:
     """One kind's elements as record columns: each one's first mode and their value stack."""
-    _, index_key, value_key = _ROWS[code]
-    indices = [obj.get(index_key) for obj in objs]
+    value_key, number, rank = _VALUES[code]
+    indices = [obj.get(_index_key(code)) for obj in objs]
     # A missing conjugate reads as false; a missing array fails its shape test.
     values = [obj.get(value_key, False) for obj in objs]
-    if index_key == "spatial_index":
-        _require(set(map(type, indices)) <= {int}, "spatial_index must be an integer")
-        check = _check_mode
-    else:
+    if code in _PAIRED:
         _require(
             all(type(p) is list and len(p) == 2 and type(p[0]) is type(p[1]) is int for p in indices),
             "spatial_pair must be a two-element integer array",
         )
-        check = _check_pair
+        check, firsts = _check_pair, [pair[0] for pair in indices]
+    else:
+        _require(set(map(type, indices)) <= {int}, "spatial_index must be an integer")
+        check, firsts = _check_mode, indices
     for index in indices:
         check(index, space)
-    firsts = indices if index_key == "spatial_index" else [pair[0] for pair in indices]
-    if value_key == "conjugate":
-        _require(set(map(type, values)) <= {bool}, "conjugate must be a boolean")
-        values = np.array(values)
-    elif value_key == "matrix":
-        # The view keeps every bit of each [re, im] pair, the sign of a zero included.
-        values = _numbers(values, (space.n_p, space.n_p, 2), "matrix").view(complex)[..., 0]
-    else:
-        values = _numbers(values, (space.n_p,), value_key)
-    return firsts, values
+    if number is bool:
+        _require(set(map(type, values)) <= {bool}, f"{value_key} must be a boolean")
+        return firsts, np.array(values)
+    shape = (space.n_p,) * rank
+    if number is complex:  # each entry an [re, im] pair; the view keeps every bit, the sign of a zero included
+        return firsts, _numbers(values, (*shape, 2), value_key).view(complex)[..., 0]
+    return firsts, _numbers(values, shape, value_key)
 
 
 def deserialize(text: str) -> Circuit:

@@ -185,12 +185,12 @@ class TestReconstruct:
             "spatial pair (1, 3) is not adjacent; only (k, k+1) is allowed",
         ),
         (Beamsplitter((3, 4)), DimensionError, "spatial pair (3, 4) out of range for 3 spatial modes"),
-        (InternalOp(1, np.eye(3)), DimensionError, "InternalOp needs a 2x2 block, got shape (3, 3)"),
-        (PhaseBlock(2, np.array([0.1])), DimensionError, "PhaseBlock needs a 2x2 block, got shape (1, 1)"),
+        (InternalOp(1, np.eye(3)), DimensionError, "InternalOp needs matrix of shape (2, 2), got shape (3, 3)"),
+        (PhaseBlock(2, np.array([0.1])), DimensionError, "PhaseBlock needs phases of shape (2,), got shape (1,)"),
         (
             CSBlock((1, 2), np.array([0.1, 0.2, 0.3])),
             DimensionError,
-            "CSBlock needs a 4x4 block, got shape (6, 6)",
+            "CSBlock needs thetas of shape (2,), got shape (3,)",
         ),
         ("mirror", TypeError, "unknown circuit element type: str"),
         # A pair that does not unpack into two values.
@@ -370,7 +370,7 @@ class TestLayeredWalker:
         space = ModeSpace(3, 2)
         u = haar_random_unitary(2, 0)
         elements = [InternalOp(1, u), InternalOp(1, u), PhaseBlock(1, np.array([0.1])), Beamsplitter((2, 4))]
-        with pytest.raises(DimensionError, match=re.escape("PhaseBlock needs a 2x2 block, got shape (1, 1)")):
+        with pytest.raises(DimensionError, match=re.escape("PhaseBlock needs phases of shape (2,), got shape (1,)")):
             reconstruct(Circuit(space, elements))
         elements[2] = InternalOp(1, u)
         with pytest.raises(DimensionError, match=re.escape("spatial pair (2, 4) is not adjacent")):
@@ -419,6 +419,10 @@ class TestValueShapes:
             (ModeSpace(2, 2), PhaseBlock(1, np.zeros((2, 2))), "PhaseBlock needs phases of shape (2,), got shape (2, 2)"),
             (ModeSpace(2, 2), CSBlock((1, 2), np.zeros((1, 2))), "CSBlock needs thetas of shape (2,), got shape (1, 2)"),
             (ModeSpace(2, 1), CSBlock((1, 2), np.float64(0.3)), "CSBlock needs thetas of shape (1,), got shape ()"),
+            (ModeSpace(2, 2), InternalOp(1, np.eye(3)), "InternalOp needs matrix of shape (2, 2), got shape (3, 3)"),
+            (ModeSpace(2, 2), InternalOp(1, np.ones(2)), "InternalOp needs matrix of shape (2, 2), got shape (2,)"),
+            (ModeSpace(2, 1), InternalOp(1, np.complex128(1)), "InternalOp needs matrix of shape (1, 1), got shape ()"),
+            (ModeSpace(2, 1), InternalOp(1, np.ones((1, 1, 1))), "InternalOp needs matrix of shape (1, 1), got shape (1, 1, 1)"),
         ],
     )
     def test_walker_and_writer_refuse(self, space, element, message):
@@ -553,6 +557,16 @@ class TestEquality:
     def test_a_changed_field_is_unequal(self, element, changed):
         assert element != changed and not element == changed
         assert element == copy.deepcopy(element)
+
+    def test_a_non_circuit_is_left_to_decide(self):
+        # NotImplemented, not False, lets the other side's __eq__ answer.
+        class Anything:
+            def __eq__(self, other):
+                return True
+
+        circuit = decompose(haar_random_unitary(4, 2), ModeSpace(2, 2))
+        assert not circuit == object() and circuit != object()
+        assert circuit == Anything() and Anything() == circuit
 
     def test_fields_are_compared_as_arrays(self):
         assert Beamsplitter(np.array([1, 2])) == Beamsplitter((1, 2)) == Beamsplitter([1, 2])

@@ -106,14 +106,18 @@ class TestDecompose:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "beamsplitters=12 internal=16 phase_blocks=12"
 
-    def test_stage1_only_counts(self, tmp_path, capsys, haar_file):
-        inp = haar_file(8, 5)
+    # At 1 x 4 there is no CS block; the line's form follows the flag, not the counts.
+    @pytest.mark.parametrize(
+        "n_s,n_p,line,cs_blocks", [(4, 2, "internal=16 cs_blocks=6", 6), (1, 4, "internal=1 cs_blocks=0", 0)]
+    )
+    def test_stage1_only_counts(self, tmp_path, capsys, haar_file, n_s, n_p, line, cs_blocks):
+        inp = haar_file(n_s * n_p, 5)
         out = tmp_path / "c1.json"
-        assert run(["decompose", inp, out, "--ns", 4, "--np", 2, "--stage1-only"]) == 0
+        assert run(["decompose", inp, out, "--ns", n_s, "--np", n_p, "--stage1-only"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "internal=16 cs_blocks=6"
+        assert lines[0] == line
         doc = json.loads(out.read_text())
-        assert sum(e["kind"] == "cs_block" for e in doc["elements"]) == 6
+        assert sum(e["kind"] == "cs_block" for e in doc["elements"]) == cs_blocks
 
     @pytest.mark.parametrize("flags", [[], ["--stage1-only"]])
     def test_walks_no_circuit(self, tmp_path, monkeypatch, haar_file, flags):
