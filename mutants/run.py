@@ -159,10 +159,24 @@ MUTANTS = [
         ["tests/test_serialization.py"],
     ),
     (
-        "the writer skips the unitarity check of the internal matrices",
-        SERIALIZATION,
-        '        require_unitary(stack, "an internal operation")\n',
+        "the value gate skips the unitarity check of the internal matrices",
+        CIRCUITS,
+        '        require_unitary(values[INTERNAL], "an internal operation")\n',
         "        pass\n",
+        ["tests/test_serialization.py"],
+    ),
+    (
+        "_held skips the value gate",
+        CIRCUITS,
+        "_record=_checked(record))",
+        "_record=record)",
+        ["tests/test_decompose.py"],
+    ),
+    (
+        "Circuit.__post_init__ skips the value gate",
+        CIRCUITS,
+        '"_record", _checked(_walk(self)))',
+        '"_record", _walk(self))',
         ["tests/test_serialization.py"],
     ),
     (
@@ -173,8 +187,8 @@ MUTANTS = [
         ["tests/test_serialization.py"],
     ),
     (
-        "the writer drops its per-kind finiteness check",
-        SERIALIZATION,
+        "the value gate drops its per-kind finiteness check",
+        CIRCUITS,
         "if not np.isfinite(stack).all():",
         "if False:",
         ["tests/test_serialization.py"],
@@ -194,10 +208,12 @@ MUTANTS = [
         ["tests/test_serialization.py"],
     ),
     (
-        "the writer checks internal ops for unitarity before other kinds for finiteness",
-        SERIALIZATION,
-        "for code in (CS, BEAMSPLITTER, PHASE, INTERNAL):",
-        "for code in (INTERNAL, CS, BEAMSPLITTER, PHASE):",
+        "the value gate checks internal ops for unitarity before other kinds for finiteness",
+        CIRCUITS,
+        "    modes, values, _ = record\n",
+        "    modes, values, _ = record\n"
+        "    if modes[INTERNAL]:\n"
+        '        require_unitary(values[INTERNAL], "an internal operation")\n',
         ["tests/test_serialization.py"],
     ),
     (

@@ -19,8 +19,12 @@ the writer and the reader all ask them. A circuit is fixed when it is
 built and holds only its space and record: ``Circuit(space, elements)``
 walks its elements with ``_walk``, so a bad element is refused there, and
 keeps none of them; ``decompose``, ``decompose_stage1`` and ``deserialize``
-hand over the record they built. ``elements`` is built from the record when
-first read, each array a read-only view, so a new value needs a new circuit.
+hand over the record they built. Every record, however built, copies and
+pickles included, then passes the one value gate, ``_checked``: each
+kind's values finite, then every internal matrix unitary. So no circuit
+holds a value that its writer cannot write or its reader would refuse.
+``elements`` is built from the record when first read, each array a
+read-only view, so a new value needs a new circuit.
 Only ``reconstruct`` needs layers, and it scans the record for them itself.
 
 Two circuits are equal (``==``) when their spaces, kind sequences and first
@@ -41,7 +45,7 @@ import numpy as np
 
 from .csd import cs_matrix
 from .errors import DimensionError
-from .linalg import _numbers, _require_fits
+from .linalg import _numbers, _require_fits, require_unitary
 
 # Balanced 50:50 beamsplitter acting on a pair of spatial modes.
 BEAMSPLITTER_2 = np.array([[1, 1j], [1j, 1]], dtype=complex) / np.sqrt(2)
@@ -127,7 +131,7 @@ class Circuit:
     elements: tuple = field(default_factory=tuple)  # no class attribute, which would hide __getattr__
 
     def __post_init__(self):
-        object.__setattr__(self, "_record", _walk(self))
+        object.__setattr__(self, "_record", _checked(_walk(self)))
         object.__delattr__(self, "elements")  # the record is all a circuit keeps
 
     def __getattr__(self, name):
@@ -153,12 +157,13 @@ class Circuit:
 def _held(space: ModeSpace, record: tuple) -> Circuit:
     """A circuit on ``space`` that holds ``record``, as ``Circuit(space, elements)`` does once walked.
 
-    For the builders of circuits whose record is checked by construction
-    (``decompose``, ``decompose_stage1`` and ``deserialize``), and for copies
-    and pickles through ``Circuit.__reduce__``.
+    For the builders of circuits whose indices, types and shapes hold by
+    construction (``decompose``, ``decompose_stage1`` and ``deserialize``),
+    and for copies and pickles through ``Circuit.__reduce__``. Its values
+    still pass ``_checked``.
     """
     circuit = Circuit.__new__(Circuit)
-    circuit.__dict__.update(space=space, _record=record)
+    circuit.__dict__.update(space=space, _record=_checked(record))
     return circuit
 
 
@@ -263,6 +268,21 @@ def _walk(circuit: Circuit) -> tuple[list, list, list]:
         values[kind].append(value)
         sequence.append(kind)
     return modes, [np.array(stack) if stack else stack for stack in values], sequence
+
+
+def _checked(record: tuple) -> tuple:
+    """``record`` once its values pass the one value gate of every circuit, however built.
+
+    Raises ``ValueError`` if any kind's values are not finite, then
+    ``UnitarityError`` if any internal matrix is not unitary.
+    """
+    modes, values, _ = record
+    for kind, stack in enumerate(values):
+        if not np.isfinite(stack).all():
+            raise ValueError(f"{_VALUES[kind][0]} must be finite; NaN and infinity are not JSON compliant")
+    if modes[INTERNAL]:
+        require_unitary(values[INTERNAL], "an internal operation")
+    return record
 
 
 def _elements(record: tuple) -> tuple:

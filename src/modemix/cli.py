@@ -6,8 +6,9 @@ above ``--tol`` (``decompose`` and ``verify``), 2 parse failure,
 3 non-unitary input, 4 dimension or argument error (including a
 dimension too large to allocate), 141 stdout closed by its reader,
 printing nothing. ``--tol`` bounds only the reconstruction error; the
-matrix that ``decompose`` or ``csd`` factors passes the library's one
-unitarity gate, at 1e-10. ``main`` runs each command with the cyclic
+matrix that ``decompose`` or ``csd`` factors, and every internal op of the
+circuit ``decompose`` compiles, pass the library's one unitarity gate, at
+1e-10, before any file is opened. ``main`` runs each command with the cyclic
 garbage collector off and then restores the caller's setting.
 """
 

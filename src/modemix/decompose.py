@@ -151,6 +151,12 @@ def decompose_stage1(u, space: ModeSpace) -> Circuit:
 
     Each mixer is one ``CSBlock`` on its row of ``_factor``'s angle stack,
     after the two internal ops before it.
+
+    Raises ``TypeError`` for a matrix that is not of numbers,
+    ``DimensionError`` for one whose shape does not match ``space``, and
+    ``UnitarityError`` for an input outside ``UNITARY_TOL`` or, as the
+    circuit is built, for internal ops that the input's defect plus
+    rounding carries past it.
     """
     return _circuit(u, space, expand=False)
 
@@ -174,5 +180,7 @@ def decompose(u, space: ModeSpace) -> Circuit:
 
     Built from ``_factor``'s stacks with no stage-1 circuit on the way: the
     mixers' phase blocks are the rows of the angle stack and of its negation.
+    Raises as ``decompose_stage1`` does, so the circuit it returns is one
+    that ``serialize`` writes and ``deserialize`` reads back.
     """
     return _circuit(u, space, expand=True)

@@ -14,23 +14,26 @@ of its own. It reads the circuit's record, as ``reconstruct`` and the
 counts do, and writes it by kind: one line template per kind with ``%r``
 float slots, the text ``json`` writes, repeated once per element and
 filled in one ``%`` call from the kind's indices as Python ints and its
-floats, and one finiteness check per kind. Floats are written with
-``repr`` precision, so a round trip is bit-exact. Complex matrix entries
-are [re, im] pairs, as complex128 holds them.
+floats. Floats are written with ``repr`` precision, so a round trip is
+bit-exact. Complex matrix entries are [re, im] pairs, as complex128 holds
+them.
 
-What the reader refuses, ``Circuit`` or the writer refuses, and of
-several faults both report an index before a value. The reader checks
+The writer only formats: what the reader refuses, no circuit holds,
+since ``Circuit`` and the value gate in ``circuits`` refuse it when a
+circuit is built, and of several faults both the walk and the reader
+report an index before a value. The reader checks only the file's format:
 each kind's numeric fields as one stack (fixed shape, JSON numbers only,
-all finite), each index and pair with the walker's own checks and all
-internal matrices for unitarity in one call, and returns a circuit that
-holds the record of these columns, whose element objects are built when
-first read. A compiled circuit read back equals the one written,
-``deserialize(serialize(c)) == c``. The reader rejects unknown versions;
-silent misreads are worse than failures. This module holds only each kind
-code's file kind, ``_FILE_KINDS``. Both take a kind's value key, number
-type and rank from ``circuits._VALUES``, the kind table the walker checks
-with, and its index key from ``circuits._PAIRED``: ``spatial_pair`` for a
-kind on a pair, ``spatial_index`` for the others.
+all finite) and each index and pair with the walker's own checks. It
+returns a circuit that holds the record of these columns, whose element
+objects are built when first read, and which the value gate checks for
+unitarity in one call over all internal matrices. A compiled circuit read
+back equals the one written, ``deserialize(serialize(c)) == c``. The
+reader rejects unknown versions; silent misreads are worse than failures.
+This module holds only each kind code's file kind, ``_FILE_KINDS``. Both
+take a kind's value key, number type and rank from ``circuits._VALUES``,
+the kind table the walker checks with, and its index key from
+``circuits._PAIRED``: ``spatial_pair`` for a kind on a pair,
+``spatial_index`` for the others.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ import numpy as np
 from .circuits import BEAMSPLITTER, CS, INTERNAL, PHASE, Circuit, ModeSpace
 from .circuits import _PAIRED, _VALUES, _check_mode, _check_pair, _held
 from .errors import CircuitFormatError, UnsupportedVersionError
-from .linalg import require_unitary
 
 FORMAT_VERSION = "1"
 
@@ -68,13 +70,10 @@ def _template(code: int, n_p: int) -> str:
 
 
 def _lines(code: int, modes: list, values: list, n_p: int):
-    """The lines of one kind's elements in document order, once their values are checked."""
+    """The lines of one kind's elements in document order."""
     number = _VALUES[code][1]
     stack = np.array(values)
-    if not np.isfinite(stack).all():
-        raise ValueError(f"{_FILE_KINDS[code]} values must be finite; NaN and infinity are not JSON compliant")
     if number is complex:
-        require_unitary(stack, "an internal operation")
         stack = stack.view(float)
     elif number is bool:  # each flag as JSON spells it
         stack = np.where(stack, "true", "false")
@@ -99,17 +98,13 @@ def _lines(code: int, modes: list, values: list, n_p: int):
 def serialize(circuit: Circuit) -> str:
     """Render a circuit as a JSON document: the header line, then one element per line.
 
-    Refuses what ``deserialize`` would refuse and ``Circuit`` has not
-    refused: ``ValueError`` for a value that is not finite, then
-    ``UnitarityError`` if any internal operation is not unitary.
+    Only formats, and refuses no circuit: every circuit's values passed the
+    gate in ``circuits`` when it was built, so ``deserialize`` reads back
+    whatever this writes.
     """
     space = circuit.space
     modes, values, sequence = circuit._record
-    lines = {}
-    # Internal ops last, so that every kind is checked finite before any op for unitarity.
-    for code in (CS, BEAMSPLITTER, PHASE, INTERNAL):
-        if modes[code]:
-            lines[code] = _lines(code, modes[code], values[code], space.n_p)
+    lines = {code: _lines(code, firsts, values[code], space.n_p) for code, firsts in enumerate(modes) if firsts}
     elements = [next(lines[code]) for code in sequence]
     lines.clear()  # so that each kind's list of line strings is freed before the join
     elements = ",\n".join(elements)
@@ -178,10 +173,11 @@ def deserialize(text: str) -> Circuit:
     """Parse a circuit JSON document, validating the schema one element kind at a time.
 
     Raises ``CircuitFormatError`` for malformed documents,
-    ``UnsupportedVersionError`` for unknown versions, ``DimensionError``
-    for out-of-range mode indices and, once the whole document has parsed,
-    ``UnitarityError`` if any internal operation is not unitary. Of several
-    faults, one of the kind met first is reported, an index before a value.
+    ``UnsupportedVersionError`` for unknown versions and ``DimensionError``
+    for out-of-range mode indices. Of several faults, one of the kind met
+    first is reported, an index before a value. Once the whole document has
+    parsed, the circuit passes the value gate of every circuit, which raises
+    ``UnitarityError`` if any internal operation is not unitary.
     """
     try:
         doc = json.loads(text)
@@ -210,6 +206,4 @@ def deserialize(text: str) -> Circuit:
     modes, values = [[] for _ in range(4)], [[] for _ in range(4)]
     for code, group in groups.items():
         modes[code], values[code] = _columns(code, group, space)
-    if INTERNAL in groups:
-        require_unitary(values[INTERNAL], "an internal operation")
     return _held(space, (modes, values, sequence))

@@ -1,6 +1,6 @@
 import numpy as np
 
-from modemix import cs_matrix, haar_random_unitary
+from modemix import UNITARY_TOL, cs_matrix, haar_random_unitary
 
 
 def max_abs(a, b) -> float:
@@ -29,3 +29,17 @@ def cs_conjugated(thetas, m: int, n: int, seed: int) -> np.ndarray:
         haar_random_unitary(n, seed + 3).conj().T,
     )
     return left @ cs_matrix(thetas, m + n) @ right
+
+
+def gate_edge_unitary(dim: int, seed: int) -> np.ndarray:
+    """A Haar unitary with one row scaled to just inside the unitarity gate.
+
+    Scaling row i by s moves entry (k, l) of M†M by (s^2 - 1) conj(u_ik) u_il,
+    so the row whose largest entry is smallest takes the largest scaling,
+    and its defect reaches 0.99999999 UNITARY_TOL. Rounding may push the
+    defect past the gate for some seeds.
+    """
+    u = haar_random_unitary(dim, seed)
+    row = int(np.argmin(np.max(np.abs(u), axis=1)))
+    u[row] *= np.sqrt(1 + 0.99999999 * UNITARY_TOL / np.max(np.abs(u[row])) ** 2)
+    return u

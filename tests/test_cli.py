@@ -20,7 +20,7 @@ from modemix import (
 )
 from modemix.cli import main
 
-from conftest import block_diag_unitary
+from conftest import block_diag_unitary, gate_edge_unitary
 from test_serialization import assert_bit_identical
 
 
@@ -178,6 +178,21 @@ class TestDecompose:
             assert run(["decompose", inp, out, "--ns", n_s, "--np", n_p, *tol]) == 3
             assert "deviation" in capsys.readouterr().err
             assert not out.exists()
+
+    def test_gate_edge_input_leaves_the_output_as_it_was_or_readable(self, tmp_path):
+        # The input passes the gate, but its first internal op carries its
+        # defect plus rounding past it. decompose refuses before the output
+        # file is opened; a BLAS that rounds the op inside the gate writes a file.
+        inp, out = tmp_path / "edge.mat", tmp_path / "edge.json"
+        save_matrix(inp, gate_edge_unitary(2, 11))
+        out.write_text('{"written": "before"}\n')
+        before = out.read_bytes()
+        code = run(["decompose", inp, out, "--ns", 2, "--np", 1])
+        if code == 3:
+            assert out.read_bytes() == before
+        else:
+            assert code in (0, 1)
+            assert run(["verify", out, inp]) in (0, 1)
 
     @pytest.mark.parametrize(
         "n_s,n_p,u",

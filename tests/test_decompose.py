@@ -27,7 +27,7 @@ from modemix import (
     unitarity_defect,
 )
 
-from conftest import block_diag_unitary, cs_conjugated, max_abs
+from conftest import block_diag_unitary, cs_conjugated, gate_edge_unitary, max_abs
 from paper_cascade import cascade_stage1, column_stage1
 from test_serialization import assert_bit_identical
 
@@ -84,14 +84,16 @@ class TestStage1:
             decompose_stage1(np.eye(4) * 1.01, ModeSpace(2, 2))
 
     def test_input_is_checked_once(self, monkeypatch):
-        # Every block stage 1 decomposes is unitary by construction; only the
-        # input needs the gate.
+        # Two checks: the input, then the stack of merged ops as the circuit
+        # is built, since those ops carry the input's defect plus rounding.
+        # The stacked 2n_p x 2n_p unitaries are unitary by construction and are
+        # not checked.
         linalg = sys.modules["modemix.linalg"]
         defect = linalg.unitarity_defect
         calls = []
-        monkeypatch.setattr(linalg, "unitarity_defect", lambda m: calls.append(1) or defect(m))
+        monkeypatch.setattr(linalg, "unitarity_defect", lambda m: calls.append(m.shape) or defect(m))
         decompose_stage1(haar_random_unitary(16, 0), ModeSpace(16, 1))
-        assert len(calls) == 1
+        assert calls == [(16, 16), (256, 1, 1)]
 
 
 class TestExpandCsBlock:
@@ -511,3 +513,22 @@ class TestStructuredInputProperties:
         except UnitarityError:
             return
         assert max_abs(reconstruct(circuit), u) <= 1e-9
+
+    @pytest.mark.parametrize("n_s,n_p", [(2, 1), (2, 2), (3, 1), (3, 2)])
+    def test_gate_edge_inputs_are_refused_or_compile_to_a_file_that_reads_back(self, n_s, n_p):
+        # The compiled ops carry the input's defect plus rounding, which can
+        # cross the gate: then decompose refuses, rather than return a
+        # circuit that its own writer or reader would refuse.
+        space = ModeSpace(n_s, n_p)
+        admitted = 0
+        for seed in range(60):
+            u = gate_edge_unitary(space.dim, seed)
+            if unitarity_defect(u) > UNITARY_TOL:
+                continue
+            admitted += 1
+            try:
+                circuit = decompose(u, space)
+            except UnitarityError:
+                continue
+            assert deserialize(serialize(circuit)) == circuit
+        assert admitted >= 20
