@@ -44,7 +44,7 @@ MUTANTS = [
         "the reader records its kind codes grouped by kind",
         SERIALIZATION,
         "return _held(space, (modes, values, sequence))",
-        "return _held(space, (modes, values, sorted(sequence, key=list(groups).index)))",
+        "return _held(space, (modes, values, sorted(sequence, key=list(dict.fromkeys(sequence)).index)))",
         ["tests/test_serialization.py"],
     ),
     (
@@ -289,16 +289,72 @@ MUTANTS = [
     (
         "main runs its command with the collector on",
         "src/modemix/cli.py",
-        "    gc.disable()\n",
-        "",
+        "with _collector_paused():",
+        "if True:",
         ["tests/test_cli.py"],
     ),
     (
-        "main leaves the collector off after a command",
-        "src/modemix/cli.py",
+        "deserialize reads with the collector on",
+        SERIALIZATION,
+        "    with _collector_paused():\n        return _read(text)\n",
+        "    return _read(text)\n",
+        ["tests/test_serialization.py"],
+    ),
+    (
+        "the collector pause never restores the caller's setting",
+        SERIALIZATION,
         "        if collecting:\n            gc.enable()\n",
         "        pass\n",
-        ["tests/test_cli.py"],
+        ["tests/test_serialization.py"],
+    ),
+    (
+        "the reader skips the per-element loop that names the first index or pair offender",
+        SERIALIZATION,
+        "        for index in indices:\n            check(index, space)\n",
+        "        pass\n",
+        ["tests/test_serialization.py"],
+    ),
+    (
+        "the reader's aggregate range test lets a pair start at n_s",
+        SERIALIZATION,
+        "max(firsts) < space.n_s",
+        "max(firsts) <= space.n_s",
+        ["tests/test_serialization.py"],
+    ),
+    (
+        "the reader's aggregate range test lets a spatial index be 0",
+        SERIALIZATION,
+        "held = 1 <= min(firsts) and max(firsts) <= space.n_s",
+        "held = 0 <= min(firsts) and max(firsts) <= space.n_s",
+        ["tests/test_serialization.py"],
+    ),
+    (
+        "the reader's aggregate test of a pair skips adjacency",
+        SERIALIZATION,
+        "flat[1::2] == [k + 1 for k in firsts] and ",
+        "",
+        ["tests/test_serialization.py"],
+    ),
+    (
+        "the reader's aggregate kind test skips the type test, so an unhashable kind escapes as TypeError",
+        SERIALIZATION,
+        "set(map(type, kinds)) <= {str} and ",
+        "",
+        ["tests/test_serialization.py"],
+    ),
+    (
+        "the reader takes a list leaf for a non-numeric value, not a shape fault",
+        SERIALIZATION,
+        "    _require(list not in types, misshapen)\n",
+        "",
+        ["tests/test_serialization.py"],
+    ),
+    (
+        "the reader's nesting levels skip their length test",
+        SERIALIZATION,
+        " and set(map(len, leaves)) == {length}",
+        "",
+        ["tests/test_serialization.py"],
     ),
     (
         "the counts line picks its form by whether any CS block was counted",

@@ -9,14 +9,14 @@ printing nothing. ``--tol`` bounds only the reconstruction error; the
 matrix that ``decompose`` or ``csd`` factors, and every internal op of the
 circuit ``decompose`` compiles, pass the library's one unitarity gate, at
 1e-10, before any file is opened. ``main`` runs each command with the cyclic
-garbage collector off and then restores the caller's setting.
+garbage collector off and then restores the caller's setting, through the
+same helper with which ``deserialize`` reads.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import gc
 import json
 import math
 import os
@@ -30,7 +30,7 @@ from .csd import csd
 from .decompose import decompose, decompose_stage1
 from .errors import CircuitFormatError, DimensionError, MatrixFormatError, UnitarityError
 from .linalg import haar_random_unitary, load_matrix, save_matrix
-from .serialization import deserialize, serialize
+from .serialization import _collector_paused, deserialize, serialize
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -185,24 +185,20 @@ def _cmd_csd(args) -> int:
 def main(argv=None) -> int:
     # A command's objects live until it returns, so the collector's passes
     # over them, most of all in verify's JSON read, are wasted work.
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        args = build_parser().parse_args(argv)
-        code = args.func(args)
-        sys.stdout.flush()
-        return code
-    except BrokenPipeError:
-        # The reader of stdout is gone, which is not a fault of ours. Point
-        # stdout at devnull so the flush at interpreter exit cannot fail too.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return _EXIT_CLOSED_STDOUT
-    except tuple(_EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
-    finally:
-        if collecting:
-            gc.enable()
+    with _collector_paused():
+        try:
+            args = build_parser().parse_args(argv)
+            code = args.func(args)
+            sys.stdout.flush()
+            return code
+        except BrokenPipeError:
+            # The reader of stdout is gone, which is not a fault of ours. Point
+            # stdout at devnull so the flush at interpreter exit cannot fail too.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return _EXIT_CLOSED_STDOUT
+        except tuple(_EXIT_CODES) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 def entrypoint() -> None:

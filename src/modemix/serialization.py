@@ -21,14 +21,27 @@ them.
 The writer only formats: what the reader refuses, no circuit holds,
 since ``Circuit`` and the value gate in ``circuits`` refuse it when a
 circuit is built, and of several faults both the walk and the reader
-report an index before a value. The reader checks only the file's format:
-each kind's numeric fields as one stack (fixed shape, JSON numbers only,
-all finite) and each index and pair with the walker's own checks. It
-returns a circuit that holds the record of these columns, whose element
-objects are built when first read, and which the value gate checks for
-unitarity in one call over all internal matrices. A compiled circuit read
-back equals the one written, ``deserialize(serialize(c)) == c``. The
-reader rejects unknown versions; silent misreads are worse than failures.
+report an index before a value. The reader checks only the file's format,
+one whole column at a time, with no check per element: the kinds as one
+set, each kind's elements grouped with ``itertools.compress``, its indices
+or pairs by the sets of their types and lengths and by the ``min`` and
+``max`` of their first modes (Python ints, so n_s may exceed any machine
+integer), and each numeric field as one stack, flattened one nesting level
+at a time with each level's types and lengths checked as sets, its leaves
+made into one float array (fixed shape, JSON numbers only, all finite).
+Only when the kind test, or an index or pair test, fails does the reader
+go element by element (for an index or pair, with the walker's own
+``_check_mode`` and ``_check_pair``), to name the first offender with the
+walk's message. ``deserialize`` runs with the cyclic garbage collector
+off, through the pause that ``cli.main`` also uses, and then restores the
+caller's setting: ``json.loads`` and the column passes make only acyclic
+containers, which die when the read returns, so the collector's passes
+over them are wasted work. It returns a circuit that holds the record of
+these columns, whose element objects are built when first read, and which
+the value gate checks for unitarity in one call over all internal
+matrices. A compiled circuit read back equals the one written,
+``deserialize(serialize(c)) == c``. The reader rejects unknown versions;
+silent misreads are worse than failures.
 This module holds only each kind code's file kind, ``_FILE_KINDS``. Both
 take a kind's value key, number type and rank from ``circuits._VALUES``,
 the kind table the walker checks with, and its index key from
@@ -38,7 +51,10 @@ the kind table the walker checks with, and its index key from
 
 from __future__ import annotations
 
+import gc
 import json
+from contextlib import contextmanager
+from itertools import chain, compress
 
 import numpy as np
 
@@ -117,6 +133,18 @@ def _require(condition: bool, message: str) -> None:
         raise CircuitFormatError(message)
 
 
+@contextmanager
+def _collector_paused():
+    """Run the body with the cyclic garbage collector off, then restore the caller's setting, however it ends."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
+
+
 # Exact type tests: JSON true and false parse as bool, a subclass of int,
 # and are neither indices nor numbers.
 _NUMBER_TYPES = {float, int}
@@ -125,41 +153,48 @@ _NUMBER_TYPES = {float, int}
 def _numbers(values: list, shape: tuple[int, ...], what: str) -> np.ndarray:
     """Float stack of the nested JSON numbers ``values``, each of exactly ``shape``.
 
-    A ragged array or one of the wrong depth gives another object-array
-    shape, or list leaves; an integer too large for a float is non-finite.
+    Flattened one nesting level at a time: each level must hold only lists,
+    each of that level's length, and the leaves no list. An integer too
+    large for a float is non-finite.
     """
-    items = np.array(values, dtype=object)
-    leaves = set(map(type, items.flat))
-    _require(
-        items.shape[1:] == shape and list not in leaves,
-        f"{what} must be a nested array of shape {list(shape)}",
-    )
-    _require(leaves <= _NUMBER_TYPES, f"{what} contains non-numeric values")
+    misshapen, leaves = f"{what} must be a nested array of shape {list(shape)}", values
+    for length in shape:
+        _require(set(map(type, leaves)) == {list} and set(map(len, leaves)) == {length}, misshapen)
+        leaves = list(chain.from_iterable(leaves))
+    types = set(map(type, leaves))
+    _require(list not in types, misshapen)
+    _require(types <= _NUMBER_TYPES, f"{what} contains non-numeric values")
     try:
-        out = items.astype(float)
+        out = np.array(leaves, dtype=float)
     except OverflowError:
         raise CircuitFormatError(f"{what} contains non-finite values") from None
     _require(np.isfinite(out).all(), f"{what} contains non-finite values")
-    return out
+    return out.reshape(len(values), *shape)
 
 
 def _columns(code: int, objs: list, space: ModeSpace) -> tuple:
     """One kind's elements as record columns: each one's first mode and their value stack."""
     value_key, number, rank = _VALUES[code]
-    indices = [obj.get(_index_key(code)) for obj in objs]
+    index_key = _index_key(code)
+    indices = [obj.get(index_key) for obj in objs]
     # A missing conjugate reads as false; a missing array fails its shape test.
     values = [obj.get(value_key, False) for obj in objs]
     if code in _PAIRED:
         _require(
-            all(type(p) is list and len(p) == 2 and type(p[0]) is type(p[1]) is int for p in indices),
+            set(map(type, indices)) == {list}
+            and set(map(len, indices)) == {2}
+            and set(map(type, flat := list(chain.from_iterable(indices)))) == {int},
             "spatial_pair must be a two-element integer array",
         )
-        check, firsts = _check_pair, [pair[0] for pair in indices]
+        check, firsts = _check_pair, flat[0::2]
+        held = flat[1::2] == [k + 1 for k in firsts] and 1 <= min(firsts) and max(firsts) < space.n_s
     else:
         _require(set(map(type, indices)) <= {int}, "spatial_index must be an integer")
         check, firsts = _check_mode, indices
-    for index in indices:
-        check(index, space)
+        held = 1 <= min(firsts) and max(firsts) <= space.n_s
+    if not held:  # the walker's own check names the first offender
+        for index in indices:
+            check(index, space)
     if number is bool:
         _require(set(map(type, values)) <= {bool}, f"{value_key} must be a boolean")
         return firsts, np.array(values)
@@ -177,8 +212,15 @@ def deserialize(text: str) -> Circuit:
     for out-of-range mode indices. Of several faults, one of the kind met
     first is reported, an index before a value. Once the whole document has
     parsed, the circuit passes the value gate of every circuit, which raises
-    ``UnitarityError`` if any internal operation is not unitary.
+    ``UnitarityError`` if any internal operation is not unitary. Runs with
+    the cyclic garbage collector off and restores the caller's setting.
     """
+    with _collector_paused():
+        return _read(text)
+
+
+def _read(text: str) -> Circuit:
+    """``deserialize``'s work; the parsed document dies when this returns, before the collector is restored."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -196,14 +238,14 @@ def deserialize(text: str) -> Circuit:
     objs = doc.get("elements")
     _require(isinstance(objs, list), "elements must be an array")
     _require(set(map(type, objs)) <= {dict}, "elements must be objects")
-    sequence, groups = [], {}
-    for obj in objs:
-        kind = obj.get("kind")
-        if type(kind) is not str or kind not in _CODES:  # an unhashable kind is refused too
-            raise CircuitFormatError(f"unknown element kind {kind!r}")
-        sequence.append(_CODES[kind])
-        groups.setdefault(sequence[-1], []).append(obj)
+    kinds = [obj.get("kind") for obj in objs]
+    if not (set(map(type, kinds)) <= {str} and set(kinds) <= _CODES.keys()):
+        for kind in kinds:  # the first unknown kind; an unhashable one is refused too
+            if type(kind) is not str or kind not in _CODES:
+                raise CircuitFormatError(f"unknown element kind {kind!r}")
+    sequence = list(map(_CODES.__getitem__, kinds))
     modes, values = [[] for _ in range(4)], [[] for _ in range(4)]
-    for code, group in groups.items():
-        modes[code], values[code] = _columns(code, group, space)
+    codes = np.array(sequence, dtype=np.int8)
+    for code in dict.fromkeys(sequence):  # kinds in order of first appearance, so the first kind's faults come first
+        modes[code], values[code] = _columns(code, list(compress(objs, (codes == code).tolist())), space)
     return _held(space, (modes, values, sequence))

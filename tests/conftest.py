@@ -1,4 +1,7 @@
+import gc
+
 import numpy as np
+import pytest
 
 from modemix import UNITARY_TOL, cs_matrix, haar_random_unitary
 
@@ -43,3 +46,12 @@ def gate_edge_unitary(dim: int, seed: int) -> np.ndarray:
     row = int(np.argmin(np.max(np.abs(u), axis=1)))
     u[row] *= np.sqrt(1 + 0.99999999 * UNITARY_TOL / np.max(np.abs(u[row])) ** 2)
     return u
+
+
+@pytest.fixture(params=[True, False], ids=["caller-enabled", "caller-disabled"])
+def caller(request):
+    """A caller with the cyclic collector on, or off; the test session's own setting is restored after."""
+    was = gc.isenabled()
+    gc.enable() if request.param else gc.disable()
+    yield request.param
+    gc.enable() if was else gc.disable()

@@ -401,13 +401,6 @@ class TestCsdCommand:
 class TestCollector:
     """``main`` runs each command with the cyclic collector off and leaves the caller's setting as it found it."""
 
-    @pytest.fixture(params=[True, False], ids=["caller-enabled", "caller-disabled"])
-    def caller(self, request):
-        was = gc.isenabled()
-        gc.enable() if request.param else gc.disable()
-        yield request.param
-        gc.enable() if was else gc.disable()
-
     @pytest.mark.parametrize(
         "args,code",
         [

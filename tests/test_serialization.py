@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import re
 import json
 import operator
@@ -397,7 +398,7 @@ class TestDeserializeValidation:
         doc["elements"] = [{"kind": "phase_block", "spatial_index": 1, "phases": [float("nan")]}]
         with pytest.raises(CircuitFormatError):
             deserialize(json.dumps(doc))
-        # The writer refuses what the reader would refuse, rather than write a NaN token.
+        # Circuit(...) refuses it at the value gate, so no circuit holds a NaN for the writer to write.
         with pytest.raises(ValueError, match="not JSON compliant"):
             serialize(Circuit(ModeSpace(2, 1), [PhaseBlock(1, np.array([float("nan")]))]))
 
@@ -519,6 +520,103 @@ class TestSeveralOffenders:
         assert reader_message(CircuitFormatError) == "spatial_index must be an integer"
 
 
+class TestFaultDeepInLargeDocument:
+    """One fault planted deep in a compiled 64x1 document keeps its class and exact message."""
+
+    SPACE = ModeSpace(64, 1)
+
+    @pytest.fixture(scope="class")
+    def text(self):
+        text = serialize(decompose(haar_random_unitary(64, 4), self.SPACE))
+        assert len(json.loads(text)["elements"]) == 12160
+        return text
+
+    @staticmethod
+    def spoiled(text, kind, spoil):
+        """The document with ``spoil`` applied to the element of ``kind`` nearest three quarters through it."""
+        doc = json.loads(text)
+        elements = doc["elements"]
+        at = next(i for i in range(3 * len(elements) // 4, len(elements)) if elements[i]["kind"] == kind)
+        assert elements.index(next(e for e in elements if e["kind"] == kind)) < at  # not the first of its kind
+        spoil(elements[at])
+        return json.dumps(doc)
+
+    @staticmethod
+    def message(error, text):
+        with pytest.raises(error) as caught:
+            deserialize(text)
+        assert type(caught.value) is error
+        return str(caught.value)
+
+    def walker_message(self, element):
+        with pytest.raises(DimensionError) as caught:
+            Circuit(self.SPACE, [element])
+        return str(caught.value)
+
+    def test_out_of_range_index(self, text):
+        spoiled = self.spoiled(text, "phase_block", lambda e: e.update(spatial_index=65))
+        assert self.message(DimensionError, spoiled) == self.walker_message(PhaseBlock(65, np.zeros(1)))
+        assert self.message(DimensionError, spoiled) == "spatial index 65 out of range 1..64"
+
+    def test_non_adjacent_pair(self, text):
+        spoiled = self.spoiled(text, "beamsplitter", lambda e: e.update(spatial_pair=[30, 32]))
+        assert self.message(DimensionError, spoiled) == self.walker_message(Beamsplitter((30, 32)))
+        assert self.message(DimensionError, spoiled) == "spatial pair (30, 32) is not adjacent; only (k, k+1) is allowed"
+
+    def test_true_inside_a_pair(self, text):
+        spoiled = self.spoiled(text, "beamsplitter", lambda e: e["spatial_pair"].__setitem__(0, True))
+        assert self.message(CircuitFormatError, spoiled) == "spatial_pair must be a two-element integer array"
+
+    def test_text_leaf_in_a_matrix(self, text):
+        spoiled = self.spoiled(text, "internal", lambda e: e["matrix"][0][0].__setitem__(1, "0.5"))
+        assert self.message(CircuitFormatError, spoiled) == "matrix contains non-numeric values"
+
+    def test_leaf_nested_one_level_too_deep(self, text):
+        spoiled = self.spoiled(text, "internal", lambda e: e["matrix"][0][0].__setitem__(0, [e["matrix"][0][0][0]]))
+        assert self.message(CircuitFormatError, spoiled) == "matrix must be a nested array of shape [1, 1, 2]"
+
+    def test_ragged_row(self, text):
+        spoiled = self.spoiled(text, "internal", lambda e: e["matrix"][0].append([0.0, 0.0]))
+        assert self.message(CircuitFormatError, spoiled) == "matrix must be a nested array of shape [1, 1, 2]"
+
+    def test_leaf_too_large_for_a_float(self, text):
+        spoiled = self.spoiled(text, "phase_block", lambda e: e["phases"].__setitem__(0, 10**400))
+        assert self.message(CircuitFormatError, spoiled) == "phases contains non-finite values"
+
+
+class TestCollector:
+    """``deserialize`` reads with the cyclic collector off and leaves the caller's setting as it found it."""
+
+    @pytest.fixture(scope="class")
+    def text(self):
+        return serialize(decompose(haar_random_unitary(6, 5), ModeSpace(3, 2)))
+
+    def test_json_read_runs_with_the_collector_off(self, monkeypatch, caller, text):
+        seen, loads = [], json.loads
+        monkeypatch.setattr(json, "loads", lambda text: seen.append(gc.isenabled()) or loads(text))
+        deserialize(text)
+        assert seen == [False] and gc.isenabled() is caller
+
+    def test_state_is_restored_after_a_read(self, caller, text):
+        assert serialize(deserialize(text)) == text
+        assert gc.isenabled() is caller
+
+    @pytest.mark.parametrize(
+        "document,error",
+        [
+            ("{not json", CircuitFormatError),
+            ('{"format_version": "2"}', UnsupportedVersionError),
+            ('{"format_version": "1", "n_s": 2, "n_p": 1, "elements": [{"kind": "beamsplitter", "spatial_pair": [2, 3]}]}', DimensionError),
+            ('{"format_version": "1", "n_s": 1, "n_p": 1, "elements": [{"kind": "internal", "spatial_index": 1, "matrix": [[[2.0, 0.0]]]}]}', UnitarityError),
+        ],
+        ids=["format", "version", "dimension", "unitarity"],
+    )
+    def test_state_is_restored_after_a_reader_error(self, caller, document, error):
+        with pytest.raises(error):
+            deserialize(document)
+        assert gc.isenabled() is caller
+
+
 # The writer as it was before per-kind line templates, kept as the byte oracle:
 # one JSON object and one encode call per element.
 _ORACLE_ENCODER = json.JSONEncoder(allow_nan=False, check_circular=False)
@@ -595,7 +693,7 @@ class TestByteOracle:
 
 
 class TestWriterFaultOrder:
-    """The writer reports an index before a value, as the reader does."""
+    """Circuit(...) reports an index before a value, as the reader does: its walk, then the value gate, before any writer."""
 
     def circuit(self):
         return decompose(haar_random_unitary(6, 5), ModeSpace(3, 2))
